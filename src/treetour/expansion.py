@@ -866,7 +866,9 @@ def regularity_falsifier(
                 U_p.bit_count() > eps_f * nu_ and V_p.bit_count() > eps_f * nv_
             ):
                 return None
-            d_check = density(G, U_p, V_p)
+            # Recount from the V' side through in-rows, not through density().
+            arcs = sum((G.in_rows[v] & U_p).bit_count() for v in bits(V_p))
+            d_check = Fraction(arcs, U_p.bit_count() * V_p.bit_count())
             if not abs(d_check - base) > eps_f:
                 raise GraphDefectError("regularity witness failed recheck")
             return RegularityVerdict(

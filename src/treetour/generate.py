@@ -288,18 +288,7 @@ def _tree_encode(
 def _tree_centroids(T: DirectedTree) -> list[int]:
     """The 1 or 2 centroids of the underlying tree."""
     n = T.n
-    if n == 1:
-        return [0]
-    order = T.bfs_order(0)
-    parent = {order[0]: -1}
-    for v in order:
-        for w in T.neighbours(v):
-            if w not in parent:
-                parent[w] = v
-    size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
+    _, parent, size = T.rooted(0)
     cents = []
     for v in range(n):
         heaviest = n - size[v]

@@ -10,9 +10,8 @@ to share across threads and to send to worker processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -92,38 +91,53 @@ def bit_list(mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Bit-matrix transpose (used for in-neighbour rows)
-
-_NUMPY_MIN_N = 128
+# Bit-matrix transpose (validates untrusted rows; builds from_pair_bits)
 
 
-def _transpose_rows_small(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    cols = [0] * n
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(cols)
+def _swap_masks(size: int) -> Iterator[tuple[int, int]]:
+    """(shift, mask) per level j = size/2, .., 1 of a size-by-size transpose.
+
+    The mask holds the cells (r, c) with bit j clear in r and set in c;
+    each swaps with the cell ``shift`` = j(size - 1) positions up.
+    """
+    width = size // 8
+    j = size // 2
+    while j:
+        if j >= 8:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (size // (2 * j))
+        else:
+            row = bytes([{4: 0xF0, 2: 0xCC, 1: 0xAA}[j]]) * width
+        block = row * j + bytes(width * j)  # j rows with the pattern, j without
+        yield j * (size - 1), int.from_bytes(block * (size // (2 * j)), "little")
+        j //= 2
 
 
-def _transpose_rows_numpy(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    nbytes = (n + 7) // 8
-    buf = np.frombuffer(
-        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
-    ).reshape(n, nbytes)
-    # bitorder="little" makes unpacked column index equal the vertex id.
-    m = np.unpackbits(buf, axis=1, bitorder="little")[:, :n]
-    packed = np.packbits(m.T, axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n))
+@lru_cache(maxsize=None)
+def _small_swap_masks(size: int) -> tuple[tuple[int, int], ...]:
+    # Building the masks costs about as much as the swaps, so small sizes
+    # keep theirs; a large size would hold log2(size) masks of size**2 bits.
+    return tuple(_swap_masks(size))
 
 
 def transpose_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose an n-by-n bit matrix given as one int per row."""
-    if n >= _NUMPY_MIN_N:
-        return _transpose_rows_numpy(n, rows)
-    return _transpose_rows_small(n, rows)
+    """Transpose an n-by-n bit matrix given as one int per row.
+
+    Block transpose (Warren, *Hacker's Delight* §7-3): the rows are packed
+    into one int as a size-by-size matrix (size a power of two, at least
+    8), and for j = size/2, .., 1 one masked delta swap exchanges bit j of
+    every row index with bit j of its column index.  Every row must lie in
+    0 .. 2**n - 1.
+    """
+    size = 8
+    while size < n:
+        size *= 2
+    width = size // 8
+    m = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+    for shift, mask in _small_swap_masks(size) if size <= 256 else _swap_masks(size):
+        t = (m ^ (m >> shift)) & mask
+        m ^= t ^ (t << shift)
+    data = m.to_bytes(width * size, "little")
+    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +154,30 @@ class Tournament:
 
     __slots__ = ("n", "out_rows", "in_rows")
 
-    def __init__(
-        self,
-        n: int,
-        out_rows: Iterable[int],
-        *,
-        in_rows: tuple[int, ...] | None = None,
-        _trusted: bool = False,
-    ):
+    def __init__(self, n: int, out_rows: Iterable[int], *, _trusted: bool = False):
         rows = tuple(out_rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        if in_rows is None:
-            in_rows = transpose_rows(n, rows)
         self.n = n
         self.out_rows = rows
-        self.in_rows = in_rows
-        if not _trusted:
-            self._validate()
+        if _trusted:
+            # In a tournament every other vertex is exactly one of in/out.
+            everything = full_mask(n)
+            self.in_rows = tuple(everything ^ (1 << v) ^ row for v, row in enumerate(rows))
+        else:
+            self.in_rows = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple[int, ...]:
+        """Check the tournament axioms; returns the in-rows by transposition."""
         n = self.n
         if n < 1:
             raise ValueError("a tournament needs at least one vertex")
-        everything = full_mask(n)
-        for v, (out, inn) in enumerate(zip(self.out_rows, self.in_rows)):
+        for v, out in enumerate(self.out_rows):
             if out < 0 or out >> n:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+        in_rows = transpose_rows(n, self.out_rows)
+        everything = full_mask(n)
+        for v, (out, inn) in enumerate(zip(self.out_rows, in_rows)):
             if (out >> v) & 1:
                 raise ValueError(f"vertex {v} has a self-arc")
             if out & inn:
@@ -175,6 +186,7 @@ class Tournament:
             if (out | inn) != everything ^ (1 << v):
                 w = next(bits(everything ^ (1 << v) ^ (out | inn)))
                 raise ValueError(f"pair {{{v}, {w}}} has no arc")
+        return in_rows
 
     # -- constructors -------------------------------------------------------
 
@@ -193,36 +205,23 @@ class Tournament:
 
         Pairs are ordered (0,1), (0,2), .., (0,n-1), (1,2), .., (n-2,n-1);
         pair k reads bit k of ``pair_bits``; a 1 orients u -> v (u < v), a 0
-        orients v -> u.
+        orients v -> u.  Bits from n(n-1)/2 up are ignored.
         """
-        if n >= _NUMPY_MIN_N:
-            return cls._from_pair_bits_numpy(n, pair_bits)
-        rows = [0] * n
+        m = n * (n - 1) // 2
+        data = (pair_bits & ((1 << m) - 1)).to_bytes(m // 8 + 1, "little")
+        everything = full_mask(n)
+        upper = []  # row u: the arcs u -> v with v > u, a slice of pair_bits
+        beaten = []  # row u: the v > u with v -> u
         k = 0
         for u in range(n):
-            for v in range(u + 1, n):
-                if (pair_bits >> k) & 1:
-                    rows[u] |= 1 << v
-                else:
-                    rows[v] |= 1 << u
-                k += 1
-        return cls(n, rows, _trusted=True)
-
-    @classmethod
-    def _from_pair_bits_numpy(cls, n: int, pair_bits: int) -> "Tournament":
-        m = n * (n - 1) // 2
-        nbytes = (m + 7) // 8
-        flat = np.unpackbits(
-            np.frombuffer(pair_bits.to_bytes(nbytes, "little"), dtype=np.uint8),
-            bitorder="little",
-        )[:m]
-        a = np.zeros((n, n), dtype=np.uint8)
-        iu, ju = np.triu_indices(n, k=1)
-        a[iu, ju] = flat
-        a[ju, iu] = 1 - flat
-        rowbytes = np.packbits(a, axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(rowbytes[i].tobytes(), "little") for i in range(n))
-        return cls(n, rows, _trusted=True)
+            span = n - 1 - u
+            chunk = int.from_bytes(data[k >> 3 : ((k + span) >> 3) + 1], "little")
+            row = ((chunk >> (k & 7)) & ((1 << span) - 1)) << (u + 1)
+            upper.append(row)
+            beaten.append(everything ^ ((2 << u) - 1) ^ row)
+            k += span
+        lower = transpose_rows(n, tuple(beaten))
+        return cls(n, [a | b for a, b in zip(upper, lower)], _trusted=True)
 
     # -- basic queries ------------------------------------------------------
 
@@ -252,7 +251,7 @@ class Tournament:
 
     def reverse(self) -> "Tournament":
         """The tournament with every arc reversed."""
-        return Tournament(self.n, self.in_rows, in_rows=self.out_rows, _trusted=True)
+        return Tournament(self.n, self.in_rows, _trusted=True)
 
     def induced(self, subset: int) -> tuple["Tournament", list[int]]:
         """Induced subtournament on a vertex bitmask.
@@ -290,14 +289,26 @@ class Tournament:
 # Oriented tree
 
 
+class Rooted(NamedTuple):
+    """A tree seen from a root: BFS order (neighbours ascending), the
+    underlying parent of each vertex (-1 at the root, and at any vertex the
+    root does not reach), and subtree sizes."""
+
+    order: list[int]
+    parent: list[int]
+    size: list[int]
+
+
 class DirectedTree:
     """An orientation of a tree on ``n`` vertices.
 
-    ``arcs`` lists the directed edges (u, v) meaning u -> v.  Construction
-    validates that the underlying undirected graph is a tree.
+    ``arcs`` lists the directed edges (u, v) meaning u -> v; ``out_nbrs``,
+    ``in_nbrs`` and ``nbrs`` hold each vertex's out-, in- and underlying
+    neighbours, ascending.  Construction validates that the underlying
+    undirected graph is a tree.
     """
 
-    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs")
+    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         arc_tuple = tuple((int(u), int(v)) for u, v in arcs)
@@ -319,32 +330,26 @@ class DirectedTree:
             seen.add(pair)
             out_nbrs[u].append(v)
             in_nbrs[v].append(u)
-        # Connectivity: n-1 distinct edges + connected <=> tree.
-        if n > 1:
-            reached = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for y in out_nbrs[x] + in_nbrs[x]:
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-            if len(reached) != n:
-                missing = min(set(range(n)) - reached)
-                raise ValueError(f"not connected: vertex {missing} unreachable")
         self.n = n
         self.arcs = arc_tuple
         self.out_nbrs = tuple(tuple(sorted(x)) for x in out_nbrs)
         self.in_nbrs = tuple(tuple(sorted(x)) for x in in_nbrs)
+        self.nbrs = tuple(tuple(sorted(o + i)) for o, i in zip(out_nbrs, in_nbrs))
+        # Connectivity: n-1 distinct edges + connected <=> tree.
+        reached = self.rooted(0).order
+        if len(reached) != n:
+            missing = min(set(range(n)) - set(reached))
+            raise ValueError(f"not connected: vertex {missing} unreachable")
 
     # -- queries ---------------------------------------------------------
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.out_nbrs[v] + self.in_nbrs[v]))
+        """Underlying neighbours of ``v``, ascending."""
+        return self.nbrs[v]
 
     def degree(self, v: int) -> int:
         """Underlying (undirected) degree."""
-        return len(self.out_nbrs[v]) + len(self.in_nbrs[v])
+        return len(self.nbrs[v])
 
     def has_arc(self, u: int, v: int) -> bool:
         return v in self.out_nbrs[u]
@@ -366,19 +371,27 @@ class DirectedTree:
     def reverse(self) -> "DirectedTree":
         return DirectedTree(self.n, tuple((v, u) for u, v in self.arcs))
 
+    def rooted(self, root: int) -> Rooted:
+        """BFS order, parents and subtree sizes of the underlying tree from ``root``."""
+        nbrs = self.nbrs
+        parent = [-1] * self.n
+        parent[root] = root
+        order = [root]
+        for x in order:  # grows while it is walked: a queue without pops
+            for y in nbrs[x]:
+                if parent[y] == -1:
+                    parent[y] = x
+                    order.append(y)
+        parent[root] = -1
+        size = [1] * self.n
+        for v in reversed(order):
+            if parent[v] >= 0:
+                size[parent[v]] += size[v]
+        return Rooted(order, parent, size)
+
     def bfs_order(self, root: int) -> list[int]:
         """Vertices in BFS order of the underlying tree, neighbours ascending."""
-        order = [root]
-        seen = {root}
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y in self.neighbours(x):
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-        return order
+        return self.rooted(root).order
 
     def __eq__(self, other: object) -> bool:
         return (

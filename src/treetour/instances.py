@@ -18,6 +18,7 @@ from fractions import Fraction
 from .generate import Xoshiro256StarStar, random_oriented_tree, stream
 from .graphs import DirectedTree, Tournament, as_fraction, bit_list, bits, full_mask, mask_of
 from .strategies import OneByOneInstance, RoundTheBackInstance, TwoSetInstance
+from .weights import tree_components
 
 __all__ = [
     "random_round_the_back_instance",
@@ -153,7 +154,8 @@ def break_round_the_back(
         )
     if which == "(X-capacity)":
         d = max(
-            (len(c) for c in _branch_sizes(inst.T, inst.t)), default=0
+            (c.bit_count() for c in tree_components(inst.T, full_mask(inst.T.n) & ~(1 << inst.t))),
+            default=0,
         )
         G = inst.G
         flips: list[tuple[int, int]] = []
@@ -173,25 +175,6 @@ def break_round_the_back(
             N=inst.N, X=inst.X,
         )
     raise ValueError(f"unknown hypothesis {which!r}")
-
-
-def _branch_sizes(T: DirectedTree, t: int) -> list[list[int]]:
-    seen = {t}
-    comps = []
-    for w in T.neighbours(t):
-        if w in seen:
-            continue
-        comp = [w]
-        seen.add(w)
-        k = 0
-        while k < len(comp):
-            for x in T.neighbours(comp[k]):
-                if x not in seen:
-                    seen.add(x)
-                    comp.append(x)
-            k += 1
-        comps.append(comp)
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +285,8 @@ def break_one_by_one(inst: OneByOneInstance, which: str) -> OneByOneInstance:
     """Damage exactly the named hypothesis of a valid instance."""
     G, m = inst.G, inst.T.n - inst.T_c.bit_count()
     d = max(
-        (len(c) for c in _branch_sizes_masked(inst.T, inst.T_c)), default=0
+        (c.bit_count() for c in tree_components(inst.T, full_mask(inst.T.n) & ~inst.T_c)),
+        default=0,
     )
 
     def rebuilt(G2: Tournament) -> OneByOneInstance:
@@ -349,25 +333,6 @@ def break_one_by_one(inst: OneByOneInstance, which: str) -> OneByOneInstance:
             variant=inst.variant, N_prime=inst.N_prime, r=inst.r,
         )
     raise ValueError(f"unknown hypothesis {which!r}")
-
-
-def _branch_sizes_masked(T: DirectedTree, c_mask: int) -> list[list[int]]:
-    seen = set(bit_list(c_mask))
-    comps = []
-    for v in range(T.n):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        k = 0
-        while k < len(comp):
-            for x in T.neighbours(comp[k]):
-                if x not in seen:
-                    seen.add(x)
-                    comp.append(x)
-            k += 1
-        comps.append(comp)
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +518,8 @@ def break_two_set(inst: TwoSetInstance, which: str) -> TwoSetInstance:
 
 
 def _min_y(inst: TwoSetInstance) -> int:
-    from .strategies import _forest_components
-
-    comps = _forest_components(inst.T, inst.F_plus)
-    t2 = comps[1].bit_count() if len(comps) > 1 else 0
+    sizes = sorted((c.bit_count() for c in tree_components(inst.T, inst.F_plus)), reverse=True)
+    t2 = sizes[1] if len(sizes) > 1 else 0
     an = as_fraction(inst.alpha) * inst.T.n
     return inst.F_plus.bit_count() + t2 + -(-an.numerator // an.denominator)
 

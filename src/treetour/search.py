@@ -98,33 +98,29 @@ def _validate_constraints(T: DirectedTree, G: Tournament, c: SearchConstraints) 
             raise ValueError(f"allowed set of {u} contains out-of-range host ids")
 
 
-def tree_search_order(T: DirectedTree) -> list[int]:
-    """BFS order from the smallest-id 2-core vertex (a centroid)."""
-    root = next(bits(core_tree(T, 2).vertices))
-    return T.bfs_order(root)
-
-
-def _order_metadata(
-    T: DirectedTree, order: list[int]
-) -> tuple[list[tuple[int, str]], list[int], list[int]]:
-    """Per position: (parent position, direction), plus future in/out needs.
+def _search_plan(
+    T: DirectedTree,
+) -> tuple[list[int], list[tuple[int, str]], list[int], list[int]]:
+    """BFS order from the smallest-id 2-core vertex (a centroid), with per
+    position (parent position, direction), plus future out/in needs.
 
     direction "out" means the tree arc runs parent -> vertex.
     """
-    pos = {v: i for i, v in enumerate(order)}
-    parents: list[tuple[int, str]] = [(-1, "")]
+    root = next(bits(core_tree(T, 2).vertices))
+    order, parent, _ = T.rooted(root)
+    pos = [0] * T.n
     for i, v in enumerate(order):
-        if i == 0:
-            continue
-        best = min((pos[w] for w in T.neighbours(v) if pos[w] < i))
-        w = order[best]
-        parents.append((best, "out" if T.has_arc(w, v) else "in"))
+        pos[v] = i
+    parents: list[tuple[int, str]] = [(-1, "")]
+    for v in order[1:]:
+        w = parent[v]
+        parents.append((pos[w], "out" if T.has_arc(w, v) else "in"))
     out_need = [0] * T.n
     in_need = [0] * T.n
     for v in order:
         out_need[v] = sum(1 for w in T.out_nbrs[v] if pos[w] > pos[v])
         in_need[v] = sum(1 for w in T.in_nbrs[v] if pos[w] > pos[v])
-    return parents, out_need, in_need
+    return order, parents, out_need, in_need
 
 
 def _candidate_mask(
@@ -153,8 +149,7 @@ def exhaustive_embed(
     """
     c = c or SearchConstraints()
     _validate_constraints(T, G, c)
-    order = tree_search_order(T)
-    parents, out_need, in_need = _order_metadata(T, order)
+    order, parents, out_need, in_need = _search_plan(T)
     base = full_mask(G.n) & ~c.forbidden
     base_allowed = []
     for v in order:
@@ -220,8 +215,7 @@ def greedy_embed(
     """
     c = c or SearchConstraints()
     _validate_constraints(T, G, c)
-    order = tree_search_order(T)
-    parents, out_need, in_need = _order_metadata(T, order)
+    order, parents, out_need, in_need = _search_plan(T)
     base = full_mask(G.n) & ~c.forbidden
     if T.n > base.bit_count():
         return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "greedy", ("too few available vertices",))

@@ -68,7 +68,7 @@ from .search import (
     greedy_embed,
     redei_path,
 )
-from .weights import core_tree, weight_profile
+from .weights import core_tree, hanging_components, tree_components, weight_profile
 
 __all__ = [
     "RoundTheBackInstance",
@@ -105,92 +105,9 @@ def _first_bits(mask: int, k: int) -> int:
     return out
 
 
-def _tree_component(T: DirectedTree, start: int, region: int) -> int:
-    """Vertex mask of the component of T[region] containing start."""
-    comp = 1 << start
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for w in T.neighbours(u):
-            b = 1 << w
-            if (region & b) and not (comp & b):
-                comp |= b
-                frontier.append(w)
-    return comp
-
-
-def _pieces(T: DirectedTree, region: int, centre: int) -> list[tuple[int, str, int]]:
-    """Components of T[region] - centre with their attachment data.
-
-    Returns (component mask, direction, attachment vertex) triples where
-    direction is "out" if the arc at centre points into the component.
-    Listed in ascending order of the attachment vertex id.
-    """
-    region_wo = region & ~(1 << centre)
-    seen = 0
-    out: list[tuple[int, str, int]] = []
-    for w in sorted(T.neighbours(centre)):
-        b = 1 << w
-        if not (region_wo & b) or (seen & b):
-            continue
-        comp = _tree_component(T, w, region_wo)
-        seen |= comp
-        direction = "out" if T.has_arc(centre, w) else "in"
-        out.append((comp, direction, w))
-    return out
-
-
-def _hanging_components(
-    T: DirectedTree, c_mask: int
-) -> list[tuple[int, int, int, str]]:
-    """Components of T - T_c with their unique attachment arcs.
-
-    Returns (component mask, attachment vertex in T_c, attachment vertex
-    in the component, direction) with direction "out" when the arc leaves
-    T_c.  Components are listed by ascending smallest member id.
-    """
-    rest = full_mask(T.n) & ~c_mask
-    seen = 0
-    comps: list[int] = []
-    for v in range(T.n):
-        b = 1 << v
-        if (rest & b) and not (seen & b):
-            comp = _tree_component(T, v, rest)
-            seen |= comp
-            comps.append(comp)
-    out: list[tuple[int, int, int, str]] = []
-    for comp in comps:
-        attach: tuple[int, int, str] | None = None
-        for u, v in T.arcs:
-            if (c_mask >> u) & 1 and (comp >> v) & 1:
-                hit = (u, v, "out")
-            elif (comp >> u) & 1 and (c_mask >> v) & 1:
-                hit = (v, u, "in")
-            else:
-                continue
-            if attach is not None:
-                raise GraphDefectError(
-                    "component attached to the subtree by more than one arc"
-                )
-            attach = hit
-        if attach is None:
-            raise GraphDefectError("component with no arc to the subtree")
-        out.append((comp, attach[0], attach[1], attach[2]))
-    return out
-
-
-def _forest_components(T: DirectedTree, mask: int) -> list[int]:
-    """Components of T[mask], sorted by decreasing size then smallest id."""
-    seen = 0
-    comps: list[int] = []
-    for v in range(T.n):
-        b = 1 << v
-        if (mask & b) and not (seen & b):
-            comp = _tree_component(T, v, mask)
-            seen |= comp
-            comps.append(comp)
-    comps.sort(key=lambda c: (-c.bit_count(), _lsb(c)))
-    return comps
+def _by_size(comps: list[int]) -> list[int]:
+    """Component masks by decreasing size, then smallest member."""
+    return sorted(comps, key=lambda c: (-c.bit_count(), _lsb(c)))
 
 
 def _extract_subtree(T: DirectedTree, mask: int) -> tuple[DirectedTree, list[int]]:
@@ -304,10 +221,7 @@ def _validate_round_the_back(inst: RoundTheBackInstance) -> tuple[int, int]:
         raise HypothesisViolation(
             f"(N-out): vertex {bad} of N is not an out-neighbour of v"
         )
-    d = max(
-        (c.bit_count() for c, _, _ in _pieces(T, full_mask(T.n), inst.t)),
-        default=0,
-    )
+    d = max((h.comp.bit_count() for h in hanging_components(T, 1 << inst.t)), default=0)
     qual = 0
     for u in bits(inst.N):
         if (
@@ -341,11 +255,11 @@ def round_the_back(
     phi: dict[int, int] = {inst.t: inst.v}
     occupied = 1 << inst.v
     branches = sorted(
-        _pieces(T, full_mask(T.n), inst.t),
-        key=lambda p: (-p[0].bit_count(), _lsb(p[0])),
+        hanging_components(T, 1 << inst.t),
+        key=lambda h: (-h.comp.bit_count(), _lsb(h.comp)),
     )
     host_ids = list(range(G.n))
-    for comp, direction, t_i in branches:
+    for comp, _t, t_i, direction in branches:
         if direction != "out":
             raise GraphDefectError("root with an in-branch survived validation")
         size = comp.bit_count()
@@ -355,11 +269,14 @@ def round_the_back(
             v_i = _lsb(free_qual)
             phi[t_i] = v_i
             occupied |= 1 << v_i
-            sub_pieces = _pieces(T, comp, t_i)
-            ordered = [p for p in sub_pieces if p[1] == "out"] + [
-                p for p in sub_pieces if p[1] == "in"
+            sub_pieces = sorted(
+                hanging_components(T, 1 << t_i, comp & ~(1 << t_i)),
+                key=lambda h: h.outer,
+            )
+            ordered = [h for h in sub_pieces if h.direction == "out"] + [
+                h for h in sub_pieces if h.direction == "in"
             ]
-            for piece, pdir, _w in ordered:
+            for piece, _v, _w, pdir in ordered:
                 row = G.out_rows[v_i] if pdir == "out" else G.in_rows[v_i]
                 allowed = row & inst.X & ~occupied
                 sub_tree, old = _extract_subtree(T, piece)
@@ -467,12 +384,12 @@ def _validate_one_by_one(
     tree_mask = full_mask(T.n)
     if inst.T_c == 0 or inst.T_c & ~tree_mask:
         raise ValueError("T_c must be a nonempty set of tree vertices")
-    if _tree_component(T, _lsb(inst.T_c), inst.T_c) != inst.T_c:
+    if len(tree_components(T, inst.T_c)) != 1:
         raise ValueError("T_c must induce a connected subtree")
     if inst.variant not in ("a", "b", "c"):
         raise ValueError(f"unknown variant {inst.variant!r}")
     _check_seed(T, inst.T_c, inst.seed, G, inst.S)
-    comps = _hanging_components(T, inst.T_c)
+    comps = hanging_components(T, inst.T_c)
     m = T.n - inst.T_c.bit_count()
     d = max((c.bit_count() for c, _, _, _ in comps), default=0)
 
@@ -635,7 +552,7 @@ def _validate_two_set(inst: TwoSetInstance) -> list[int]:
         raise HypothesisViolation(
             "(F-plus-empty): F⁺ is empty; use the dual procedure instead"
         )
-    plus_comps = _forest_components(T, inst.F_plus)
+    plus_comps = _by_size(tree_components(T, inst.F_plus))
     t2_plus = plus_comps[1].bit_count() if len(plus_comps) > 1 else 0
     n = T.n
     if inst.Y.bit_count() < inst.F_plus.bit_count() + t2_plus + alpha * n:
@@ -681,8 +598,8 @@ def component_by_component(
     plus_comps = _validate_two_set(inst)
     T, G = inst.T, inst.G
     first = plus_comps[0]
-    comps_all = [c for c in _forest_components(T, inst.F_plus) if c != first]
-    comps_all += _forest_components(T, inst.F_minus)
+    comps_all = [c for c in plus_comps if c != first]
+    comps_all += tree_components(T, inst.F_minus)
     phi: dict[int, int] = dict(inst.seed)
     occupied = mask_of(phi.values())
     prefix = first
@@ -1042,11 +959,11 @@ def embed_star_shaped(
         z = prof.in_weight[t]
         t1_mask = 1 << t
         t2_mask = 1 << t
-        for comp, direction, _w in _pieces(T_op, full_mask(n), t):
-            if direction == "out":
-                t1_mask |= comp
+        for h in hanging_components(T_op, 1 << t):
+            if h.direction == "out":
+                t1_mask |= h.comp
             else:
-                t2_mask |= comp
+                t2_mask |= h.comp
         if tag == "forward":
             for v in range(G_op.n):
                 if (y == 0 or G_op.out_deg(v) >= y + slack) and (
@@ -1126,7 +1043,7 @@ def _try_two_set(
     n = T.n
     alpha_n = cfg.alpha * n
     min_extra = -(-alpha_n.numerator // alpha_n.denominator)
-    plus_comps = _forest_components(T, f_plus)
+    plus_comps = _by_size(tree_components(T, f_plus))
     t2_plus = plus_comps[1].bit_count() if len(plus_comps) > 1 else 0
     min_y = f_plus.bit_count() + t2_plus + min_extra
     min_z = 2 * f_minus.bit_count() + min_extra
@@ -1243,8 +1160,9 @@ def portfolio_embed(
             notes.append("star-shaped: host below 2|T|-2, skipped")
     else:
         u, v = min(core.arcs)
-        without = full_mask(T.n) & ~(1 << u) & ~(1 << v)
-        u_side = _tree_component(T, u, without | (1 << u))
+        u_side = next(
+            c for c in tree_components(T, full_mask(T.n) & ~(1 << v)) if (c >> u) & 1
+        )
         f_minus = u_side
         f_plus = full_mask(T.n) & ~u_side
         phi = _try_two_set(T, G, f_minus, f_plus, cfg, notes, "two-set")

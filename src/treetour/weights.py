@@ -15,34 +15,9 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graphs import DirectedTree, GraphDefectError, bit_list, bits, mask_of
-
-
-# ---------------------------------------------------------------------------
-# Rooted bookkeeping
-
-
-def _parents_and_order(T: DirectedTree, root: int) -> tuple[list[int], list[int]]:
-    """BFS order from ``root`` and the underlying parent of each vertex."""
-    parent = [-1] * T.n
-    parent[root] = root
-    order = T.bfs_order(root)
-    for v in order:
-        for w in T.neighbours(v):
-            if parent[w] == -1:
-                parent[w] = v
-    parent[root] = -1
-    return order, parent
-
-
-def _subtree_sizes(T: DirectedTree, order: list[int], parent: list[int]) -> list[int]:
-    size = [1] * T.n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-    return size
+from .graphs import DirectedTree, GraphDefectError, bit_list, bits
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +43,7 @@ class WeightProfile:
 
 def weight_profile(T: DirectedTree) -> WeightProfile:
     """Compute every w_e(x) by two-pass subtree counting from vertex 0."""
-    order, parent = _parents_and_order(T, 0)
-    size = _subtree_sizes(T, order, parent)
+    _, parent, size = T.rooted(0)
     side: dict[tuple[int, int], int] = {}
     for v in range(T.n):
         p = parent[v]
@@ -103,19 +77,72 @@ def edge_weight(T: DirectedTree, x: int, e: tuple[int, int]) -> int:
 # Components against a subtree
 
 
+class Hanging(NamedTuple):
+    """A component of T[region] with its single attaching arc to a set C."""
+
+    comp: int
+    inner: int  # end of the attaching arc in C
+    outer: int  # end of the attaching arc in the component
+    direction: str  # "out" when the arc runs C -> component, else "in"
+
+
+def _walk(T: DirectedTree, region: int, C: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Components of T[region] by smallest member, each with its edges into C.
+
+    An edge is listed as (end in C, end in the component).  The walk meets
+    every such edge exactly once, from its component end.
+    """
+    nbrs = T.nbrs
+    found: list[tuple[int, list[tuple[int, int]]]] = []
+    rest = region
+    while rest:
+        comp = rest & -rest
+        stack = [comp.bit_length() - 1]
+        links: list[tuple[int, int]] = []
+        while stack:
+            x = stack.pop()
+            for y in nbrs[x]:
+                b = 1 << y
+                if region & b:
+                    if not comp & b:
+                        comp |= b
+                        stack.append(y)
+                elif C & b:
+                    links.append((y, x))
+        rest &= ~comp
+        found.append((comp, links))
+    return found
+
+
+def tree_components(T: DirectedTree, region: int) -> list[int]:
+    """Vertex masks of the components of T[region], by smallest member."""
+    return [comp for comp, _ in _walk(T, region, 0)]
+
+
+def hanging_components(T: DirectedTree, C: int, region: int | None = None) -> list[Hanging]:
+    """Components of T[region] (default T - C) with their attaching arcs to C.
+
+    Listed by smallest member.  Each component must meet C by exactly one
+    tree edge, which holds whenever T[region | C] is connected and C is;
+    anything else raises :class:`GraphDefectError`.
+    """
+    if region is None:
+        region = ((1 << T.n) - 1) & ~C
+    out: list[Hanging] = []
+    for comp, links in _walk(T, region, C):
+        if len(links) != 1:
+            raise GraphDefectError(
+                f"component {bit_list(comp)} attaches to the subtree by {len(links)} edges"
+            )
+        ((inner, outer),) = links
+        out.append(Hanging(comp, inner, outer, "out" if T.has_arc(inner, outer) else "in"))
+    return out
+
+
 def _check_connected(T: DirectedTree, subset: int) -> None:
-    members = bit_list(subset)
-    if not members:
+    if not subset:
         raise ValueError("subset must be nonempty")
-    seen = {members[0]}
-    stack = [members[0]]
-    while stack:
-        x = stack.pop()
-        for y in T.neighbours(x):
-            if (subset >> y) & 1 and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(members):
+    if len(tree_components(T, subset)) != 1:
         raise ValueError("subset does not induce a connected subtree")
 
 
@@ -128,32 +155,7 @@ def components_against(T: DirectedTree, C: int) -> list[tuple[int, str]]:
     member id.
     """
     _check_connected(T, C)
-    out: list[tuple[int, str]] = []
-    assigned = C
-    for v in range(T.n):
-        if (assigned >> v) & 1:
-            continue
-        comp = 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in T.neighbours(x):
-                if not ((C >> y) & 1) and not ((comp >> y) & 1):
-                    comp |= 1 << y
-                    stack.append(y)
-        assigned |= comp
-        connectors = [
-            (a, b)
-            for a, b in T.arcs
-            if ((comp >> a) & 1 and (C >> b) & 1) or ((C >> a) & 1 and (comp >> b) & 1)
-        ]
-        if len(connectors) != 1:
-            raise GraphDefectError(
-                f"component {bit_list(comp)} attaches to the subtree by {len(connectors)} edges"
-            )
-        (a, b) = connectors[0]
-        out.append((comp, "in" if (C >> b) & 1 else "out"))
-    return out
+    return [(h.comp, h.direction) for h in hanging_components(T, C)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +207,11 @@ def _validate_core(T: DirectedTree, prof: WeightProfile, core: CoreTree) -> None
         deg = sum(1 for y in T.neighbours(x) if (core.vertices >> y) & 1)
         if deg > core.delta:
             raise GraphDefectError(f"core vertex {x} has degree {deg} > {core.delta}")
-    if core.vertices != (1 << n) - 1:
-        for comp, _ in components_against(T, core.vertices):
-            if core.delta * comp.bit_count() > n:
-                raise GraphDefectError(
-                    f"component of size {comp.bit_count()} exceeds n/delta"
-                )
+    for h in hanging_components(T, core.vertices):
+        if core.delta * h.comp.bit_count() > n:
+            raise GraphDefectError(
+                f"component of size {h.comp.bit_count()} exceeds n/delta"
+            )
     for u, v in core.arcs:
         if core.delta * prof.edge_weight(u, v) < n or core.delta * prof.edge_weight(v, u) < n:
             raise GraphDefectError(f"core edge ({u}, {v}) has an end-weight below n/delta")
@@ -237,11 +238,7 @@ def leading_paths(T: DirectedTree, root: int, H: int, k: int) -> int:
         raise ValueError(f"root {root} out of range")
     if H >> T.n:
         raise ValueError("H contains ids outside the tree")
-    _, parent = _parents_and_order(T, root)
-    children: list[list[int]] = [[] for _ in range(T.n)]
-    for v in range(T.n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
+    parent = T.rooted(root).parent
 
     prefix_cache: dict[int, int] = {}
 
@@ -263,8 +260,12 @@ def leading_paths(T: DirectedTree, root: int, H: int, k: int) -> int:
         cur |= prefix(x)
     while True:
         nxt = cur
+        in_cur = [0] * T.n  # children of each vertex inside cur
+        for c in bits(cur):
+            if parent[c] >= 0:
+                in_cur[parent[c]] += 1
         for x in range(T.n):
-            if sum(1 for c in children[x] if (cur >> c) & 1) >= 2:
+            if in_cur[x] >= 2:
                 nxt |= prefix(x)
         if nxt == cur:
             return cur

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+import treetour.expansion as expansion
 from treetour import (
+    GraphDefectError,
     SplitSearchExhausted,
     Tournament,
     directed_edge_count,
@@ -297,6 +299,24 @@ def test_planted_half_blocks_are_caught_and_witnessed():
     assert dev > Fraction(1, 5)
     assert v.witness_U.bit_count() >= Fraction(1, 5) * 10
     assert v.witness_V.bit_count() >= Fraction(1, 5) * 10
+
+
+def test_falsifier_recheck_does_not_trust_density(monkeypatch):
+    # Every arc runs U -> V, so no pair of subsets deviates from the base
+    # density; a density() that invents a deviation must fail the recount.
+    arcs = [(u, w) for u in range(10) for w in range(10, 20)]
+    arcs += [(u, w) for u in range(10) for w in range(u + 1, 10)]
+    arcs += [(u, w) for u in range(10, 20) for w in range(u + 1, 20)]
+    G = Tournament.from_arcs(20, arcs)
+    U, V = mask_of(range(10)), mask_of(range(10, 20))
+    real = expansion.density
+
+    def lying(G, source, target):
+        return real(G, source, target) if (source, target) == (U, V) else Fraction(0)
+
+    monkeypatch.setattr(expansion, "density", lying)
+    with pytest.raises(GraphDefectError, match="recheck"):
+        regularity_falsifier(G, U, V, Fraction(1, 5), 500)
 
 
 def test_falsifier_is_deterministic():

@@ -6,6 +6,11 @@ the test, never from the functions under test.
 """
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +35,7 @@ from treetour.generate import (
     rotational_regular_tournament,
     transitive_tournament,
 )
-from treetour.graphs import CANONICAL_MAX_N, bits, full_mask, mask_of
+from treetour.graphs import CANONICAL_MAX_N, bits, full_mask, mask_of, transpose_rows
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -53,6 +58,82 @@ def test_from_arcs_requires_exactly_one_arc_per_pair():
         Tournament.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
         Tournament.from_arcs(2, [(0, 0), (0, 1)])  # self-loop
+
+
+# Sizes around the byte and power-of-two boundaries of the block transpose.
+CORE_SIZES = list(range(1, 10)) + [63, 64, 65, 127, 128, 129, 500]
+
+
+def naive_transpose(n, rows):
+    return tuple(sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n))
+
+
+@pytest.mark.parametrize("n", CORE_SIZES)
+def test_transpose_rows_matches_naive_transpose(n):
+    rng = random.Random(n)
+    rows = tuple(rng.getrandbits(n) for _ in range(n))
+    assert transpose_rows(n, rows) == naive_transpose(n, rows)
+
+
+@pytest.mark.parametrize("n", CORE_SIZES)
+def test_from_pair_bits_matches_per_pair_decode(n):
+    m = n * (n - 1) // 2
+    pair_bits = random.Random(n).getrandbits(m)
+    digits = bin(pair_bits)[2:].zfill(m)[::-1]  # digits[k] is bit k
+    rows = [0] * n
+    k = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if digits[k] == "1":
+                rows[u] |= 1 << v
+            else:
+                rows[v] |= 1 << u
+            k += 1
+    G = Tournament.from_pair_bits(n, pair_bits)
+    assert G.out_rows == tuple(rows)
+    assert G.in_rows == naive_transpose(n, rows)
+    assert Tournament.from_pair_bits(n, pair_bits | (1 << m)) == G  # bits past m ignored
+
+
+@pytest.mark.parametrize("n", [5, 128, 200])
+def test_untrusted_rows_name_their_defect(n):
+    good = list(random_tournament(n, seed=n).out_rows)
+    assert Tournament(n, good).in_rows == naive_transpose(n, good)
+    u = next(v for v in range(n) if good[v])
+    w = next(bits(good[u]))
+    a, b = min(u, w), max(u, w)
+    cases = [
+        (3, good[3] | 1 << 3, "vertex 3 has a self-arc"),
+        (w, good[w] | 1 << u, f"both arcs {a}->{b} and {b}->{a} present"),
+        (u, good[u] & ~(1 << w), f"pair {{{a}, {b}}} has no arc"),
+        (4, good[4] | 1 << n, f"row 4 has bits outside 0..{n - 1}"),
+        (4, -1, f"row 4 has bits outside 0..{n - 1}"),
+    ]
+    for v, row, message in cases:
+        rows = good[:]
+        rows[v] = row
+        with pytest.raises(ValueError) as err:
+            Tournament(n, rows)
+        assert str(err.value) == message
+
+
+def test_library_imports_and_runs_without_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import treetour\n"
+        "_, summary = treetour.verify_sumner(3)\n"
+        "assert summary.all_ok and summary.total == 3 * 64\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_arc_queries_are_antisymmetric():

@@ -24,14 +24,12 @@ from treetour import (
     random_two_set_instance,
     round_the_back,
 )
-from treetour.graphs import bits, full_mask, mask_of
-from treetour.strategies import _pieces
+from treetour.graphs import bits, mask_of
+from treetour.weights import hanging_components
 
 
 def branch_span(T, t):
-    return max(
-        (c.bit_count() for c, _, _ in _pieces(T, full_mask(T.n), t)), default=0
-    )
+    return max((h.comp.bit_count() for h in hanging_components(T, 1 << t)), default=0)
 
 
 # ---------------------------------------------------------------------------

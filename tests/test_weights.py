@@ -18,7 +18,8 @@ from treetour import (
     weight_profile,
 )
 from treetour.generate import directed_path, inward_star, outward_star, random_oriented_tree
-from treetour.graphs import bits, mask_of
+from treetour.graphs import GraphDefectError, bits, mask_of
+from treetour.weights import hanging_components
 
 
 def binary_tree(depth: int) -> DirectedTree:
@@ -121,8 +122,10 @@ def test_components_against_partition_and_direction_recount():
         T = random_oriented_tree(20, seed=seed)
         C = core_tree(T, 3).vertices
         comps = components_against(T, C)
+        hanging = hanging_components(T, C)
+        assert [(h.comp, h.direction) for h in hanging] == comps
         union = 0
-        for m, side in comps:
+        for (m, side), h in zip(comps, hanging):
             assert m & C == 0
             assert m & union == 0
             union |= m
@@ -135,7 +138,17 @@ def test_components_against_partition_and_direction_recount():
             assert len(connecting) == 1
             u, v = connecting[0]
             assert side == ("in" if (C >> v) & 1 else "out")
+            # the finder reports that same arc, C end first
+            assert (h.inner, h.outer) == ((u, v) if (C >> u) & 1 else (v, u))
         assert union | C == (1 << T.n) - 1
+
+
+def test_hanging_components_reject_other_than_one_attaching_edge():
+    P = directed_path(5)
+    with pytest.raises(GraphDefectError, match="by 2 edges"):
+        hanging_components(P, mask_of([0, 4]))
+    with pytest.raises(GraphDefectError, match="by 0 edges"):
+        hanging_components(P, mask_of([0]), mask_of([3, 4]))
 
 
 def test_components_against_rejects_disconnected_set():
