@@ -62,6 +62,10 @@ from .weights import core_tree
 
 __all__ = ["main"]
 
+# Expander-checker defaults of `decompose`, which `bench decompose` times.
+_DECOMPOSE_EXACT_LIMIT = 20
+_DECOMPOSE_SAMPLE_BUDGET = 1000
+
 
 def _env(name: str, fallback):
     raw = os.environ.get(f"TREETOUR_{name.upper().replace('-', '_')}")
@@ -301,7 +305,6 @@ _BENCH_TARGETS = ("redei", "median-order", "decompose")
 
 def _cmd_bench(args) -> int:
     times = []
-    checker = make_expander_checker(exact_limit=14, sample_budget=0)
     for i in range(args.seeds):
         G = random_tournament(args.n, args.seed + i)
         start = time.perf_counter()
@@ -310,6 +313,11 @@ def _cmd_bench(args) -> int:
         elif args.target == "median-order":
             median_order(G, "local")
         else:
+            checker = make_expander_checker(
+                exact_limit=_DECOMPOSE_EXACT_LIMIT,
+                sample_budget=_DECOMPOSE_SAMPLE_BUDGET,
+                seed=args.seed + i,
+            )
             tournament_split(
                 G,
                 Fraction(1, 20),
@@ -396,11 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="1/50")
     p.add_argument("--gamma", default="1/5")
     p.add_argument(
-        "--exact-limit", type=int, default=20,
-        help="largest piece checked exactly (default 20)",
+        "--exact-limit", type=int, default=_DECOMPOSE_EXACT_LIMIT,
+        help=f"largest piece checked exactly (default {_DECOMPOSE_EXACT_LIMIT})",
     )
     p.add_argument(
-        "--sample-budget", type=int, default=1000,
+        "--sample-budget", type=int, default=_DECOMPOSE_SAMPLE_BUDGET,
         help="sampled sets per expander check above the exact limit",
     )
     _add_common(p)

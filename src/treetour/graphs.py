@@ -305,10 +305,12 @@ class DirectedTree:
     ``arcs`` lists the directed edges (u, v) meaning u -> v; ``out_nbrs``,
     ``in_nbrs`` and ``nbrs`` hold each vertex's out-, in- and underlying
     neighbours, ascending.  Construction validates that the underlying
-    undirected graph is a tree.
+    undirected graph is a tree.  ``plan`` holds the tree's search plan
+    once :func:`treetour.search.greedy_embed` or ``exhaustive_embed`` has
+    built it; it takes no part in equality or hashing.
     """
 
-    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs")
+    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs", "plan")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         arc_tuple = tuple((int(u), int(v)) for u, v in arcs)
@@ -335,6 +337,7 @@ class DirectedTree:
         self.out_nbrs = tuple(tuple(sorted(x)) for x in out_nbrs)
         self.in_nbrs = tuple(tuple(sorted(x)) for x in in_nbrs)
         self.nbrs = tuple(tuple(sorted(o + i)) for o, i in zip(out_nbrs, in_nbrs))
+        self.plan = None
         # Connectivity: n-1 distinct edges + connected <=> tree.
         reached = self.rooted(0).order
         if len(reached) != n:

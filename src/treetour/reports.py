@@ -1,11 +1,11 @@
 """Batch verification campaigns with deterministic, machine-readable output.
 
-A campaign is an ordered list of self-contained tasks (each reconstructs
-its own tree/tournament from portable text), executed serially or by a
-process pool; per-instance :class:`InstanceReport` records merge in task
-order, so the output is identical regardless of scheduling.  Reports
-serialize to JSON lines and CSV; everything except wall-clock timing is a
-pure function of the configuration and seeds.
+A campaign is an ordered list of tasks naming a tree and a tournament in
+portable text.  It runs in contiguous chunks (one serially, slices in a
+process pool) that parse each distinct text and build each tree's search
+plan once.  :class:`InstanceReport` records merge in task order, so output
+is identical regardless of scheduling; reports serialize to JSON lines and
+CSV, and all but wall-clock timing is a function of configuration and seeds.
 
 The two stock campaigns:
 
@@ -104,44 +104,43 @@ class CampaignSummary:
 
 
 # ---------------------------------------------------------------------------
-# Task execution.  A task is a picklable tuple:
-#   (kind, descriptor, expectation, payload...)
-# so process-pool workers can rebuild and run it without shared state.
+# Task execution.  A task is a picklable tuple (kind, descriptor, expectation,
+# tree text, host text, seed); a chunk parses each distinct text once.
 
-def _run_task(task: tuple) -> InstanceReport:
-    kind, descriptor, expect = task[0], task[1], task[2]
-    start = time.perf_counter()
-    seed: int | None = None
-    if kind == "portfolio":
-        tree_text, host_text, seed = task[3], task[4], task[5]
-        outcome = portfolio_embed(
-            parse_tree(tree_text), parse_tournament(host_text), PortfolioConfig()
-        )
-    elif kind == "exhaustive":
-        tree_text, host_text, seed = task[3], task[4], task[5]
-        outcome = exhaustive_embed(parse_tree(tree_text), parse_tournament(host_text))
-    else:
-        raise ValueError(f"unknown task kind {kind!r}")
-    elapsed = time.perf_counter() - start
-    embedding = None
-    if outcome.embedding is not None:
-        T = parse_tree(task[3])
-        G = parse_tournament(task[4])
-        if not is_valid_embedding(T, G, outcome.embedding):
-            raise GraphDefectError(
-                f"campaign task {descriptor} produced an invalid embedding"
-            )
-        embedding = tuple(sorted(outcome.embedding.items()))
-    return InstanceReport(
-        instance=descriptor,
-        verdict=outcome.verdict,
-        ok=outcome.verdict == expect,
-        embedding=embedding,
-        strategy=outcome.strategy if outcome.verdict == "found" else None,
-        elapsed=elapsed,
-        seed=seed,
-        version=__version__,
-    )
+def _run_chunk(tasks: list[tuple]) -> list[InstanceReport]:
+    trees, hosts, reports = {}, {}, []
+    for kind, descriptor, expect, tree_text, host_text, seed in tasks:
+        if kind not in ("portfolio", "exhaustive"):
+            raise ValueError(f"unknown task kind {kind!r}")
+        if tree_text not in trees:
+            trees[tree_text] = parse_tree(tree_text)
+        if host_text not in hosts:
+            hosts[host_text] = parse_tournament(host_text)
+        T, G = trees[tree_text], hosts[host_text]
+        start = time.perf_counter()
+        if kind == "portfolio":
+            outcome = portfolio_embed(T, G, PortfolioConfig())
+        else:
+            outcome = exhaustive_embed(T, G)
+        elapsed = time.perf_counter() - start
+        embedding = None
+        if outcome.embedding is not None:
+            if not is_valid_embedding(T, G, outcome.embedding):
+                raise GraphDefectError(
+                    f"campaign task {descriptor} produced an invalid embedding"
+                )
+            embedding = tuple(sorted(outcome.embedding.items()))
+        reports.append(InstanceReport(
+            instance=descriptor,
+            verdict=outcome.verdict,
+            ok=outcome.verdict == expect,
+            embedding=embedding,
+            strategy=outcome.strategy if outcome.verdict == "found" else None,
+            elapsed=elapsed,
+            seed=seed,
+            version=__version__,
+        ))
+    return reports
 
 
 def run_campaign(
@@ -157,11 +156,12 @@ def run_campaign(
     """
     start = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
+        size = max(1, len(tasks) // (workers * 8))
+        slices = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            reports = list(pool.map(_run_task, tasks, chunksize=chunk))
+            reports = [r for chunk in pool.map(_run_chunk, slices) for r in chunk]
     else:
-        reports = [_run_task(t) for t in tasks]
+        reports = _run_chunk(tasks)
     counts: dict[str, int] = {}
     failures = []
     for r in reports:

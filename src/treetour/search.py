@@ -100,12 +100,16 @@ def _validate_constraints(T: DirectedTree, G: Tournament, c: SearchConstraints) 
 
 def _search_plan(
     T: DirectedTree,
-) -> tuple[list[int], list[tuple[int, str]], list[int], list[int]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...], tuple[int, ...], tuple[int, ...]]:
     """BFS order from the smallest-id 2-core vertex (a centroid), with per
     position (parent position, direction), plus future out/in needs.
 
-    direction "out" means the tree arc runs parent -> vertex.
+    direction "out" means the tree arc runs parent -> vertex.  The plan
+    depends on the tree alone, so it is built once per tree object, kept
+    in ``T.plan`` and shared by every host; its parts are tuples.
     """
+    if T.plan is not None:
+        return T.plan
     root = next(bits(core_tree(T, 2).vertices))
     order, parent, _ = T.rooted(root)
     pos = [0] * T.n
@@ -120,7 +124,8 @@ def _search_plan(
     for v in order:
         out_need[v] = sum(1 for w in T.out_nbrs[v] if pos[w] > pos[v])
         in_need[v] = sum(1 for w in T.in_nbrs[v] if pos[w] > pos[v])
-    return order, parents, out_need, in_need
+    T.plan = (tuple(order), tuple(parents), tuple(out_need), tuple(in_need))
+    return T.plan
 
 
 def _candidate_mask(

@@ -8,6 +8,7 @@ a nonzero exit code.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from treetour import (
     verify_sharpness,
     verify_sumner,
 )
+from treetour import cli, reports, search
 from treetour.cli import main
 from treetour.formats import write_tournament, write_tree
 from treetour.generate import (
@@ -35,6 +37,7 @@ from treetour.generate import (
     transitive_tournament,
 )
 from treetour.reports import reports_to_csv, reports_to_jsonl, summary_to_json
+from treetour.search import EmbedOutcome
 
 
 def sample_tasks():
@@ -85,6 +88,52 @@ def test_campaign_output_is_worker_count_invariant():
     assert reports_to_jsonl(serial_reports, include_timing=False) == reports_to_jsonl(
         pooled_reports, include_timing=False
     )
+
+
+def test_multi_tree_campaign_is_worker_count_invariant():
+    # 8 trees x 56 hosts: two workers run the tree-major list as 16 slices.
+    serial, serial_summary = verify_sumner(4, "iso", "iso", workers=1)
+    pooled, pooled_summary = verify_sumner(4, "iso", "iso", workers=2)
+    assert serial_summary.total == 448 and serial_summary.all_ok
+    assert reports_to_jsonl(serial, include_timing=False) == reports_to_jsonl(
+        pooled, include_timing=False
+    )
+    assert summary_to_json(serial_summary, include_timing=False) == summary_to_json(
+        pooled_summary, include_timing=False
+    )
+
+
+def test_campaign_parses_each_text_once_and_plans_each_tree_once(monkeypatch):
+    calls = {"tree": Counter(), "host": Counter(), "plan": Counter()}
+
+    def counted(fn, kind, key):
+        def wrapper(arg, *rest):
+            calls[kind][key(arg)] += 1
+            return fn(arg, *rest)
+        return wrapper
+
+    monkeypatch.setattr(reports, "parse_tree", counted(reports.parse_tree, "tree", str))
+    monkeypatch.setattr(
+        reports, "parse_tournament", counted(reports.parse_tournament, "host", str)
+    )
+    monkeypatch.setattr(search, "core_tree", counted(search.core_tree, "plan", write_tree))
+    _, summary = verify_sumner(5, ("sample", 3, 0), "iso")
+    assert summary.total == 81 and summary.all_ok
+    assert len(calls["tree"]) == 27 and set(calls["tree"].values()) == {1}
+    assert len(calls["host"]) == 3 and set(calls["host"].values()) == {1}
+    # Every tree but the directed path (placed along a Redei path, with no
+    # search plan) gets exactly one plan, however many hosts it meets.
+    assert set(calls["plan"]) <= set(calls["tree"])
+    assert len(calls["plan"]) == 26 and set(calls["plan"].values()) == {1}
+
+
+def test_campaign_rechecks_every_embedding(monkeypatch):
+    def wrong(T, G, config=None):
+        return EmbedOutcome("found", {v: 0 for v in range(T.n)}, 0, "portfolio/greedy")
+
+    monkeypatch.setattr(reports, "portfolio_embed", wrong)
+    with pytest.raises(GraphDefectError, match="produced an invalid embedding"):
+        run_campaign(sample_tasks()[:1])
 
 
 def test_unknown_task_kind_is_an_error():
@@ -366,6 +415,29 @@ def test_cli_bench_emits_stats(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["target"] == "redei" and doc["min_s"] <= doc["mean_s"] <= doc["max_s"]
+
+
+def test_cli_bench_decompose_times_the_decompose_checker(tmp_path, capsys, monkeypatch):
+    made = []
+    real = cli.make_expander_checker
+
+    def recording(**kwargs):
+        made.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(cli, "make_expander_checker", recording)
+    host_file = tmp_path / "g.trn"
+    host_file.write_text(write_tournament(random_tournament(12, 3)))
+    code, _, _ = run_cli(capsys, "decompose", "--tournament", str(host_file), "--seed", "3")
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys, "bench", "decompose", "-n", "12", "--seeds", "1", "--seed", "3"
+    )
+    assert code == 0 and json.loads(out)["target"] == "decompose"
+    assert made == [made[0]] * 2
+    assert made[0]["sample_budget"] > 0 and made[0]["exact_limit"] > 14
+    code, _, _ = run_cli(capsys, "bench", "redei", "-n", "12", "--seeds", "2")
+    assert code == 0 and len(made) == 2
 
 
 def test_cli_errors_exit_with_two(tmp_path, capsys):

@@ -163,6 +163,26 @@ def test_greedy_found_implies_exhaustive_found():
             assert exhaustive_embed(T, G).verdict == "found"
 
 
+def test_cached_plan_matches_a_fresh_tree_across_hosts():
+    hosts = [random_tournament(5 + s % 4, seed=700 + s) for s in range(24)]
+    hosts += [transitive_tournament(8), rotational_regular_tournament(7)]
+    constraints = (None, SearchConstraints(forbidden=0b101))
+    for seed in range(6):
+        T = random_oriented_tree(5, seed=seed)
+        for tree in (T, T.reverse()):
+            for G in hosts:
+                for c in constraints:
+                    fresh = DirectedTree(tree.n, tree.arcs)
+                    assert greedy_embed(tree, G, c) == greedy_embed(fresh, G, c)
+                    assert exhaustive_embed(tree, G, c) == exhaustive_embed(fresh, G, c)
+            plan = tree.plan
+            assert type(plan) is tuple and all(type(part) is tuple for part in plan)
+            greedy_embed(tree, hosts[0])
+            assert tree.plan is plan
+        assert T.reverse().plan is None
+        assert T == DirectedTree(T.n, T.arcs) and hash(T) == hash(DirectedTree(T.n, T.arcs))
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian directed paths
 
