@@ -13,7 +13,8 @@ orientation of a tree.  This package provides:
 - structured embedding strategies built from finite embedding lemmas:
   round-the-back, one-by-one extension, component-by-component extension,
   almost-regular extraction, a star-shaped-tree strategy, and a portfolio
-  driver (:mod:`treetour.strategies`);
+  driver over greedy, path, branching and complete search
+  (:mod:`treetour.strategies`);
 - robust outexpander verdicts, non-expander splits, a tournament
   decomposition into expander/small pieces, reduced digraphs, and a
   regularity falsifier (:mod:`treetour.expansion`);
@@ -81,7 +82,6 @@ from .generate import (
 )
 from .strategies import (
     OneByOneInstance,
-    PortfolioConfig,
     RoundTheBackInstance,
     TwoSetInstance,
     component_by_component,
@@ -177,7 +177,6 @@ __all__ = [
     "transitive_tournament",
     # strategies
     "OneByOneInstance",
-    "PortfolioConfig",
     "RoundTheBackInstance",
     "TwoSetInstance",
     "component_by_component",

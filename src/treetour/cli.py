@@ -57,7 +57,7 @@ from .reports import (
     verify_sumner,
 )
 from .search import median_order, redei_path
-from .strategies import PortfolioConfig, portfolio_embed
+from .strategies import portfolio_embed
 from .weights import core_tree
 
 __all__ = ["main"]
@@ -137,8 +137,7 @@ def _cmd_coretree(args) -> int:
 def _cmd_embed(args) -> int:
     T = _load_tree(args.tree)
     G = _load_tournament(args.tournament)
-    config = PortfolioConfig(node_budget=args.budget)
-    outcome = portfolio_embed(T, G, config)
+    outcome = portfolio_embed(T, G, node_budget=args.budget)
     payload = {
         "verdict": outcome.verdict,
         "strategy": outcome.strategy,

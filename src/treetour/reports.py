@@ -40,7 +40,7 @@ from .generate import (
 )
 from .graphs import GraphDefectError, is_valid_embedding
 from .search import NOT_FOUND, exhaustive_embed
-from .strategies import PortfolioConfig, portfolio_embed
+from .strategies import portfolio_embed
 
 __all__ = [
     "InstanceReport",
@@ -119,7 +119,7 @@ def _run_chunk(tasks: list[tuple]) -> list[InstanceReport]:
         T, G = trees[tree_text], hosts[host_text]
         start = time.perf_counter()
         if kind == "portfolio":
-            outcome = portfolio_embed(T, G, PortfolioConfig())
+            outcome = portfolio_embed(T, G)
         else:
             outcome = exhaustive_embed(T, G)
         elapsed = time.perf_counter() - start

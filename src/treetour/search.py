@@ -6,7 +6,8 @@
 - :func:`median_order`: orderings maximizing forward arcs, exact (subset
   DP, n ≤ 20) or local-search mode.
 - :func:`embed_outbranching`: median-order-guided greedy embedding of
-  outbranchings into hosts with ≥ 2|T|-2 vertices, oracle fallback.
+  outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
+  BudgetExhausted, with no search behind it.
 - :func:`greedy_embed`: fast incomplete first attempt used by the
   structured strategies before calling the oracle.
 
@@ -386,19 +387,16 @@ def median_order(G: Tournament, mode: str = "local") -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 # Outbranchings
 
-OUTBRANCHING_FALLBACK_CAP = 16
-
-
-def embed_outbranching(
-    T: DirectedTree, G: Tournament, *, fallback_cap: int = OUTBRANCHING_FALLBACK_CAP
-) -> EmbedOutcome:
+def embed_outbranching(T: DirectedTree, G: Tournament) -> EmbedOutcome:
     """Embed an outbranching into a host with at least 2|T|-2 vertices.
 
-    Greedy attempt: the root goes to the first vertex of a local median
+    Greedy, no search: the root goes to the first vertex of a local median
     order and every child to the earliest unused order position dominated
-    by its parent's image.  On greedy failure the complete search takes
-    over when |G| ≤ ``fallback_cap`` (the outcome notes record this), else
-    BudgetExhausted.
+    by its parent's image.  A greedy miss returns BudgetExhausted at every
+    host size; no miss has been seen on hosts of 2|T|-2 vertices, but
+    whether this is the median-order construction that never misses is
+    not settled.  A complete map that is not a valid embedding raises
+    GraphDefectError.
     """
     if not T.is_outbranching():
         raise ValueError("tree is not an outbranching")
@@ -409,10 +407,7 @@ def embed_outbranching(
     mapping = {root: order[0]}
     used_positions = {0}
     nodes = 1
-    ok = True
     for v in T.bfs_order(root):
-        if not ok:
-            break
         for child in T.out_nbrs[v]:
             img = mapping[v]
             for j in range(G.n):
@@ -422,19 +417,9 @@ def embed_outbranching(
                     nodes += 1
                     break
             else:
-                ok = False
-                break
-    if ok and is_valid_embedding(T, G, mapping):
-        return EmbedOutcome(FOUND, mapping, nodes, "outbranching_greedy")
-    if G.n <= fallback_cap:
-        inner = exhaustive_embed(T, G)
-        return EmbedOutcome(
-            inner.verdict,
-            inner.embedding,
-            nodes + inner.nodes,
-            "outbranching_fallback",
-            ("greedy failed; exhaustive fallback used",),
-        )
-    return EmbedOutcome(
-        BUDGET_EXHAUSTED, None, nodes, "outbranching_greedy", ("greedy failed; host over fallback cap",)
-    )
+                return EmbedOutcome(
+                    BUDGET_EXHAUSTED, None, nodes, "outbranching_greedy", ("greedy failed",)
+                )
+    if not is_valid_embedding(T, G, mapping):
+        raise GraphDefectError("outbranching greedy produced an invalid embedding")
+    return EmbedOutcome(FOUND, mapping, nodes, "outbranching_greedy")

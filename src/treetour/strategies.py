@@ -31,10 +31,11 @@ Contents:
 * ``embed_star_shaped`` — the strategy for trees whose weight core is a
   single vertex: find one host vertex with enough out- and in-degree, or
   split the host into degree classes and finish through an outbranching.
-* ``portfolio_embed`` — the dispatch driver: greedy, path/outbranching
-  specialisations, star-shaped, a two-set split attempt, then complete
-  search within caps.  NotFound is only ever produced by a completed
-  exhaustive search.
+* ``portfolio_embed`` — the dispatch driver: greedy, path and
+  out-/in-branching specialisations, then complete search on hosts of at
+  most ``EXHAUSTIVE_MAX_N`` vertices.  NotFound is only ever produced by
+  a completed exhaustive search.  The star-shaped and two-set procedures
+  are public but not dispatched: no instance found so far needs them.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ __all__ = [
     "is_almost_regular",
     "almost_regular_subtournament",
     "embed_star_shaped",
-    "PortfolioConfig",
     "portfolio_embed",
     "directed_path_order",
 ]
@@ -129,7 +129,6 @@ def _embed_component(
     *,
     context: str,
     stats: list[str] | None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict[int, int] | None:
     """Place a whole component inside ``allowed``; greedy then complete.
 
@@ -143,9 +142,7 @@ def _embed_component(
         stats.append(f"{context}: {tree.n} vertices, {avail} available ({ratio})")
     if avail < tree.n:
         return None
-    constraints = SearchConstraints(
-        allowed={u: allowed for u in range(tree.n)}, node_budget=node_budget
-    )
+    constraints = SearchConstraints(allowed={u: allowed for u in range(tree.n)})
     outcome = greedy_embed(tree, G, constraints)
     if not outcome.found:
         outcome = exhaustive_embed(tree, G, constraints)
@@ -1011,102 +1008,27 @@ def directed_path_order(T: DirectedTree) -> list[int] | None:
     return order if len(order) == T.n else None
 
 
-@dataclass(frozen=True)
-class PortfolioConfig:
-    """Knobs for :func:`portfolio_embed`.
-
-    ``delta`` is the core parameter used for the star-shaped and two-set
-    stages; ``exhaustive_max_n`` caps the host size for the complete
-    search stage; ``two_set_candidates`` bounds how many host bipartitions
-    the two-set stage tries; ``alpha``/``gamma`` are its slack and
-    cross-arc parameters.
-    """
-
-    delta: int = 4
-    node_budget: int = DEFAULT_NODE_BUDGET
-    exhaustive_max_n: int = 26
-    alpha: Fraction = Fraction(1, 4)
-    gamma: Fraction = Fraction(1, 8)
-    two_set_candidates: int = 6
-
-
-def _try_two_set(
-    T: DirectedTree,
-    G: Tournament,
-    f_minus: int,
-    f_plus: int,
-    cfg: PortfolioConfig,
-    notes: list[str],
-    label: str,
-) -> dict[int, int] | None:
-    """Attempt degree-ordered Y/Z bipartitions for one forest split."""
-    n = T.n
-    alpha_n = cfg.alpha * n
-    min_extra = -(-alpha_n.numerator // alpha_n.denominator)
-    plus_comps = _by_size(tree_components(T, f_plus))
-    t2_plus = plus_comps[1].bit_count() if len(plus_comps) > 1 else 0
-    min_y = f_plus.bit_count() + t2_plus + min_extra
-    min_z = 2 * f_minus.bit_count() + min_extra
-    if min_y + min_z > G.n:
-        notes.append(f"{label}: host too small for any admissible bipartition")
-        return None
-    order = sorted(range(G.n), key=lambda v: (G.out_deg(v), v))
-    sizes: list[int] = []
-    lo, hi = min_y, G.n - min_z
-    count = min(cfg.two_set_candidates, hi - lo + 1)
-    for i in range(count):
-        sizes.append(lo + (hi - lo) * i // max(1, count - 1))
-    tried = 0
-    for size in dict.fromkeys(sizes):
-        y_mask = mask_of(order[:size])
-        z_mask = full_mask(G.n) & ~y_mask
-        gamma_n = cfg.gamma * n
-        if any((G.out_rows[u] & z_mask).bit_count() > gamma_n for u in bits(y_mask)):
-            continue
-        if any((G.in_rows[u] & y_mask).bit_count() > gamma_n for u in bits(z_mask)):
-            continue
-        tried += 1
-        sub_seed, old_seed = _extract_subtree(T, plus_comps[0])
-        seed_map = _embed_component(
-            sub_seed, G, y_mask, context="two-set seed", stats=None, node_budget=100_000
-        )
-        if seed_map is None:
-            continue
-        seed = {old_seed[i]: h for i, h in seed_map.items()}
-        inst = TwoSetInstance(
-            T=T,
-            F_minus=f_minus,
-            F_plus=f_plus,
-            G=G,
-            Y=y_mask,
-            Z=z_mask,
-            gamma=cfg.gamma,
-            alpha=cfg.alpha,
-            seed=seed,
-        )
-        try:
-            return component_by_component(inst)
-        except HypothesisViolation:
-            continue
-    notes.append(f"{label}: no bipartition validated ({tried} passed degree screen)")
-    return None
+EXHAUSTIVE_MAX_N = 26
 
 
 def portfolio_embed(
-    T: DirectedTree, G: Tournament, config: PortfolioConfig | None = None
+    T: DirectedTree, G: Tournament, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> EmbedOutcome:
-    """Dispatch driver over all embedding strategies.
+    """Dispatch driver over the embedding stages that campaigns reach.
 
     Stages, in order: pigeonhole size check; directed-path specialisation
-    along a dominance order; one greedy pass; outbranching embedder (on T
-    or on the reversed pair when T is an in-branching); star-shaped
-    strategy when the Δ-core is a single vertex; a two-set split attempt
-    on a core arc (primal and dual); complete search when the host is
-    within ``exhaustive_max_n``.  The first verified embedding wins and
-    the outcome's notes name the winning stage; NotFound is only produced
-    by a completed exhaustive search (or an impossible size).
+    along a Rédei path; one greedy pass; outbranching embedder (on T or on
+    the reversed pair when T is an in-branching, hosts of at least 2|T|-2
+    vertices); complete search within ``node_budget`` nodes when the host
+    has at most ``EXHAUSTIVE_MAX_N`` vertices.  The first verified
+    embedding wins and the outcome's notes name the winning stage;
+    NotFound is only produced by a completed exhaustive search (or an
+    impossible size).
+
+    The star-shaped and two-set procedures are not stages: no campaign,
+    benchmark workload or greedy-defeating host search reached an
+    instance that they solved and the stages before them did not.
     """
-    cfg = config or PortfolioConfig()
     notes: list[str] = []
     nodes = 0
     if T.n > G.n:
@@ -1125,7 +1047,7 @@ def portfolio_embed(
         spine = redei_path(G)
         return won({path[i]: spine[i] for i in range(T.n)}, "redei-path")
 
-    out = greedy_embed(T, G, SearchConstraints(node_budget=cfg.node_budget))
+    out = greedy_embed(T, G)
     nodes += out.nodes
     if out.found:
         assert out.embedding is not None
@@ -1134,50 +1056,20 @@ def portfolio_embed(
 
     if G.n >= 2 * T.n - 2:
         if T.is_outbranching():
-            ob = embed_outbranching(T, G)
-            nodes += ob.nodes
-            if ob.found:
-                assert ob.embedding is not None
-                return won(dict(ob.embedding), "outbranching")
-            notes.append("outbranching: failed")
-        elif T.reverse().is_outbranching():
-            ob = embed_outbranching(T.reverse(), G.reverse())
-            nodes += ob.nodes
-            if ob.found:
-                assert ob.embedding is not None
-                return won(dict(ob.embedding), "inbranching-by-reversal")
-            notes.append("inbranching-by-reversal: failed")
-
-    core = core_tree(T, cfg.delta)
-    if core.size == 1:
-        if G.n >= 2 * T.n - 2:
-            star = embed_star_shaped(T, G, cfg.delta, alpha=cfg.alpha)
-            if star.found:
-                assert star.embedding is not None
-                return won(dict(star.embedding), "star-shaped")
-            notes.append("star-shaped: all branches declined")
+            stage, ob = "outbranching", embed_outbranching(T, G)
         else:
-            notes.append("star-shaped: host below 2|T|-2, skipped")
-    else:
-        u, v = min(core.arcs)
-        u_side = next(
-            c for c in tree_components(T, full_mask(T.n) & ~(1 << v)) if (c >> u) & 1
-        )
-        f_minus = u_side
-        f_plus = full_mask(T.n) & ~u_side
-        phi = _try_two_set(T, G, f_minus, f_plus, cfg, notes, "two-set")
-        if phi is not None:
-            return won(phi, "two-set")
-        phi = _try_two_set(
-            T.reverse(), G.reverse(), f_plus, f_minus, cfg, notes, "two-set dual"
-        )
-        if phi is not None:
-            return won(phi, "two-set-dual")
+            R = T.reverse()
+            stage = "inbranching-by-reversal"
+            ob = embed_outbranching(R, G.reverse()) if R.is_outbranching() else None
+        if ob is not None:
+            nodes += ob.nodes
+            if ob.found:
+                assert ob.embedding is not None
+                return won(dict(ob.embedding), stage)
+            notes.append(f"{stage}: failed")
 
-    if G.n <= cfg.exhaustive_max_n:
-        full = exhaustive_embed(
-            T, G, SearchConstraints(node_budget=cfg.node_budget)
-        )
+    if G.n <= EXHAUSTIVE_MAX_N:
+        full = exhaustive_embed(T, G, SearchConstraints(node_budget=node_budget))
         nodes += full.nodes
         if full.found:
             assert full.embedding is not None
@@ -1187,5 +1079,5 @@ def portfolio_embed(
             return EmbedOutcome(NOT_FOUND, None, nodes, "portfolio", tuple(notes))
         notes.append("exhaustive: node budget exhausted")
     else:
-        notes.append(f"exhaustive: host exceeds cap {cfg.exhaustive_max_n}")
+        notes.append(f"exhaustive: host exceeds cap {EXHAUSTIVE_MAX_N}")
     return EmbedOutcome(BUDGET_EXHAUSTED, None, nodes, "portfolio", tuple(notes))

@@ -14,6 +14,7 @@ import pytest
 from treetour import (
     DirectedTree,
     EmbedOutcome,
+    GraphDefectError,
     InfeasiblePinning,
     SearchConstraints,
     Tournament,
@@ -34,6 +35,7 @@ from treetour.generate import (
     rotational_regular_tournament,
     transitive_tournament,
 )
+from treetour import search
 from treetour.graphs import mask_of
 from treetour.search import MEDIAN_EXACT_MAX_N
 
@@ -318,6 +320,14 @@ def test_non_outbranchings_are_rejected():
 def test_undersized_hosts_are_rejected():
     with pytest.raises(ValueError):
         embed_outbranching(directed_path(5), transitive_tournament(7))
+
+
+def test_outbranching_greedy_map_failing_the_recheck_is_a_defect(monkeypatch):
+    # A complete greedy map is valid by construction; one that fails the
+    # re-check is a bug and must not be reported as a miss.
+    monkeypatch.setattr(search, "is_valid_embedding", lambda T, G, phi: False)
+    with pytest.raises(GraphDefectError, match="outbranching greedy produced"):
+        embed_outbranching(outward_star(4), transitive_tournament(6))
 
 
 def test_outcome_found_property():

@@ -8,6 +8,7 @@ guarantees, and the reversal dualities.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ from treetour import (
     DirectedTree,
     HypothesisViolation,
     OneByOneInstance,
-    PortfolioConfig,
     RoundTheBackInstance,
     Tournament,
     TwoSetInstance,
@@ -25,7 +25,10 @@ from treetour import (
     embed_star_shaped,
     exhaustive_embed,
     extend_one_by_one,
+    greedy_embed,
     is_valid_embedding,
+    parse_tournament,
+    parse_tree,
     portfolio_embed,
     round_the_back,
 )
@@ -365,8 +368,35 @@ def test_portfolio_found_agrees_with_exhaustive_on_tight_hosts():
         assert mine == oracle
 
 
+# Hosts on 2n-2 vertices that defeat greedy_embed, found by a seeded
+# arc-flip hill-climb (seeds and steps in CHANGES.md).  Each sits in the
+# directory of the stage that rescues it; the file stem names the tree
+# size, tree family and climb seed.
+GREEDY_MISSES = Path(__file__).parent / "data" / "greedy_misses"
+
+
+def greedy_miss(path):
+    return parse_tree(path.read_text()), parse_tournament(path.with_suffix(".trn").read_text())
+
+
+def test_portfolio_rescues_each_greedy_miss_at_its_stage():
+    stages = set()
+    for path in sorted(GREEDY_MISSES.glob("*/*.tree")):
+        stage = path.parent.name
+        T, G = greedy_miss(path)
+        assert G.n == 2 * T.n - 2
+        assert not greedy_embed(T, G).found, path.stem
+        out = portfolio_embed(T, G)
+        assert out.strategy == f"portfolio/{stage}", (stage, path.stem)
+        assert is_valid_embedding(T, G, out.embedding)
+        stages.add(stage)
+    assert stages == {"redei-path", "outbranching", "inbranching-by-reversal", "exhaustive"}
+
+
 def test_portfolio_config_budget_is_honoured():
-    T = random_oriented_tree(5, seed=1)
-    G = random_tournament(8, seed=1)
-    out = portfolio_embed(T, G, PortfolioConfig(node_budget=10))
-    assert out.verdict in ("found", "budget_exhausted")
+    T, G = greedy_miss(GREEDY_MISSES / "exhaustive" / "n8-random-s0.tree")
+    assert portfolio_embed(T, G).strategy == "portfolio/exhaustive"
+    out = portfolio_embed(T, G, node_budget=1)
+    assert out.verdict == "budget_exhausted"
+    assert out.embedding is None
+    assert "exhaustive: node budget exhausted" in out.notes
