@@ -770,6 +770,27 @@ def _redei_validity(config, col):
     return cases
 
 
+def _feedback_violation(G: Tournament, order: list[int]) -> tuple[int, int] | None:
+    """First pair i < j where order[i] beats fewer than half of
+    order[i+1..j], or order[j] is beaten by fewer than half of
+    order[i..j-1]; None if there is none.  A fixed point of single-vertex
+    moves has no such pair.  Recounted arc by arc."""
+    n = len(order)
+    for i in range(n):
+        wins = 0
+        for j in range(i + 1, n):
+            wins += G.has_arc(order[i], order[j])
+            if 2 * wins < j - i:
+                return i, j
+    for j in range(n):
+        beaten = 0
+        for i in range(j - 1, -1, -1):
+            beaten += G.has_arc(order[i], order[j])
+            if 2 * beaten < j - i:
+                return i, j
+    return None
+
+
 @_suite("median-order-sanity")
 def _median_order_sanity(config, col):
     rng = stream(config.seed, "props:median-order-sanity")
@@ -791,6 +812,12 @@ def _median_order_sanity(config, col):
             fc == forward_arc_count(G, order),
             case,
             "reported forward-arc count disagrees with a recount",
+            tournament=G,
+        )
+        col.check(
+            _feedback_violation(G, order) is None,
+            case,
+            "local median order breaks the feedback property",
             tournament=G,
         )
         col.check(

@@ -2,9 +2,14 @@
 
 - :func:`exhaustive_embed`: complete backtracking search; its NotFound is a
   non-existence certificate (used to certify sharpness constructions).
-- :func:`redei_path`: Hamiltonian directed path by first-beat insertion.
+- :func:`redei_path`: Hamiltonian directed path by first-beat insertion;
+  a vertex that beats no placed vertex (one mask test) is appended
+  without a scan.
 - :func:`median_order`: orderings maximizing forward arcs, exact (subset
-  DP, n ≤ 20) or local-search mode.
+  DP, n ≤ 20) or local search: first-improvement single-vertex moves on
+  a column-major sign matrix, each move's target read off the prefix sums
+  of one row; after a move only the earlier vertices it can have given a
+  move are re-checked, never the whole order from position 0.
 - :func:`embed_outbranching`: median-order-guided greedy embedding of
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
@@ -17,7 +22,9 @@ from the tree's 2-core vertex (the centroid), candidate images ascending.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
 from .graphs import (
@@ -262,19 +269,22 @@ def greedy_embed(
 
 
 def redei_path(G: Tournament) -> list[int]:
-    """A Hamiltonian directed path by first-beat insertion.
+    """A Hamiltonian directed path by first-beat insertion (Rédei's theorem).
 
-    Vertex k is inserted before the first current vertex it beats, else
-    appended; the returned order satisfies order[i] -> order[i+1] for all
-    i.
+    Vertices are inserted in id order: v goes before the first path vertex
+    it beats, else at the end, so order[i] -> order[i+1] for all i.  The
+    placed vertices are 0..v-1, so one mask test tells whether v beats any
+    of them; if not, v is appended without a scan.  Transitive hosts take
+    no scan at all; other hosts scan the path up to the first vertex v
+    beats, which is O(n²) comparisons in the worst case.
     """
     order: list[int] = []
-    for v in range(G.n):
-        row = G.out_rows[v]
-        for i, w in enumerate(order):
-            if (row >> w) & 1:
-                order.insert(i, v)
-                break
+    for v, row in enumerate(G.out_rows):
+        if row & ((1 << v) - 1):
+            for i, w in enumerate(order):
+                if (row >> w) & 1:
+                    order.insert(i, v)
+                    break
         else:
             order.append(v)
     for a, b in zip(order, order[1:]):
@@ -330,38 +340,91 @@ def _median_exact(G: Tournament) -> tuple[list[int], int]:
     return order, best[(1 << n) - 1]
 
 
-def _improve_pass(G: Tournament, order: list[int]) -> bool:
-    """Apply the first improving single-vertex interval move; True if any."""
+# Column q of a sign matrix, from the bits of in_rows[order[q]] in id order.
+_SIGN = bytes.maketrans(b"01", b"\xff\x01")
+
+
+def _sign_columns(G: Tournament, order: list[int]) -> array:
+    """The sign matrix of ``order``, column-major in one ``array('b')``.
+
+    Entry ``q*n + u`` is +1 if u beats ``order[q]``, -1 if ``order[q]``
+    beats u, and 0 if u is ``order[q]``.  Column q is the in-row of
+    ``order[q]`` as signs, and the row of u laid out in order is the slice
+    ``[u::n]``.  It takes n² bytes.
+    """
+    n = G.n
+    signs = array("b")
+    for w in order:
+        column = bytearray(format(G.in_rows[w], f"0{n}b").encode().translate(_SIGN)[::-1])
+        column[w] = 0
+        signs.frombytes(column)
+    return signs
+
+
+def _local_search(order: list[int], signs: array) -> None:
+    """First-improvement single-vertex moves until no vertex has one.
+
+    ``signs`` is the :func:`_sign_columns` matrix of ``order``; a move
+    moves one column, and both are updated in place.  For v at position i
+    with row s in order and P = accumulate(s, initial=0), moving v before
+    position j < i gains P[i] - P[j] and moving it after position j > i
+    gains P[i] - P[j+1], while P[i+1] = P[i].  So v has an improving move
+    iff min(P) < P[i], and its first improving target is the first m with
+    P[m] < P[i] (m - 1 when m > i).  Each move is the first improving
+    (position, target) pair in position order, the one a rescan from
+    position 0 would find, without the rescan: vertices before ``ptr`` are
+    known to have no move.  A move between positions lo < hi changes, for
+    a vertex u at p < lo, only its row sums over [p, m) with lo < m <= hi.
+    Each new sum is an old one (>= 0) minus or plus u's sign against v, so
+    it can turn negative only if u beats v (a move right) or v beats u (a
+    move left).  Just those vertices are re-checked over [p, hi), and the
+    scan goes on from the first one that gained a move, else from lo.
+    """
     n = len(order)
-    for i in range(n):
-        v = order[i]
-        row_out, row_in = G.out_rows[v], G.in_rows[v]
-        delta = [0] * n
-        gain = 0
-        for j in range(i - 1, -1, -1):  # move v before position j
-            w = order[j]
-            gain += 1 if (row_out >> w) & 1 else -1
-            delta[j] = gain
-        gain = 0
-        for j in range(i + 1, n):  # move v after position j
-            w = order[j]
-            gain += 1 if (row_in >> w) & 1 else -1
-            delta[j] = gain
-        for j in range(n):
-            if j != i and delta[j] > 0:
-                order.pop(i)
-                order.insert(j, v)
-                return True
-    return False
+    ptr = 0
+    while True:
+        while ptr < n:
+            v = order[ptr]
+            prefix = list(accumulate(signs[v::n], initial=0))
+            level = prefix[ptr]
+            if min(prefix) < level:
+                break
+            ptr += 1
+        else:
+            return
+        i = ptr
+        # P moves in steps of ±1 apart from the 0 at v, and P[0] = 0, so
+        # the first m with P[m] < level is 0 or the first m at level - 1.
+        m = 0 if level > 0 else prefix.index(level - 1)
+        j = m if m < i else m - 1
+        order.insert(j, order.pop(i))
+        column = signs[i * n : (i + 1) * n]
+        del signs[i * n : (i + 1) * n]
+        signs[j * n : j * n] = column
+        # v's own row marks the earlier vertices to re-check: -1 where
+        # u beats v (a move right), +1 where v beats u (a move left).
+        lo, hi, mark = (i, j, b"\xff") if j > i else (j, i, b"\x01")
+        ptr = lo
+        row = signs[v::n].tobytes()
+        p = row.find(mark, 0, lo)
+        while p >= 0:
+            if min(accumulate(signs[p * n + order[p] : hi * n : n])) < 0:
+                ptr = p
+                break
+            p = row.find(mark, p + 1, lo)
 
 
 def median_order(G: Tournament, mode: str = "local") -> tuple[list[int], int]:
     """An ordering with many forward arcs, with its forward-arc count.
 
     ``exact`` maximizes over all orderings by subset dynamic programming
-    (n ≤ 20).  ``local`` runs first-improvement interval-move local search
-    to a fixed point, restarted from the 5 rotations of the Redei path by
-    ⌊kn/5⌋; the best count wins, ties to the earliest restart.
+    (n ≤ 20).  ``local`` runs first-improvement single-vertex moves
+    (:func:`_local_search`) to a fixed point, restarted from the 5
+    rotations of the Redei path by ⌊kn/5⌋; the best count wins, ties to
+    the earliest restart.  A fixed point has the feedback property: for
+    i < j, order[i] beats at least half of order[i+1..j] and order[j] is
+    beaten by at least half of order[i..j-1].  The sign matrix is built
+    once per call and rotated per restart.
     """
     if mode == "exact":
         return _median_exact(G)
@@ -369,13 +432,13 @@ def median_order(G: Tournament, mode: str = "local") -> tuple[list[int], int]:
         raise ValueError(f"mode must be 'exact' or 'local', got {mode!r}")
     base = redei_path(G)
     n = G.n
+    signs = _sign_columns(G, base)
     best_order: list[int] | None = None
     best_count = -1
     for k in range(5):
         r = k * n // 5
         order = base[r:] + base[:r]
-        while _improve_pass(G, order):
-            pass
+        _local_search(order, signs[r * n :] + signs[: r * n])
         count = forward_arc_count(G, order)
         if count > best_count:
             best_count = count

@@ -106,23 +106,23 @@ def test_near_extremal_trees_do_not_fit_their_three_block_hosts():
 
 # ---------------------------------------------------------------------------
 # A5: structured outbranching embedder at full coverage for n = 4.
-# Correctness must be 100%; the exhaustive fallback may serve at most
-# 20% of instances.
+# Every instance must be found by the median-order greedy itself, with no
+# note: the embedder has no fallback search.
 
 
 def test_outbranchings_on_four_vertices_embed_structurally_in_all_six_hosts():
     trees = list(outbranchings(4))
     assert len(trees) == 4
-    total = fallbacks = 0
+    total = 0
     for G in enumerate_tournaments(6):
         for T in trees:
             outcome = embed_outbranching(T, G)
             assert outcome.verdict == "found"
+            assert outcome.strategy == "outbranching_greedy"
+            assert outcome.notes == ()
             assert is_valid_embedding(T, G, outcome.embedding)
             total += 1
-            fallbacks += bool(outcome.notes)
     assert total == 4 * 2**15
-    assert fallbacks / total < 0.20
 
 
 # ---------------------------------------------------------------------------

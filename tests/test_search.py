@@ -7,7 +7,9 @@ never claim impossibility.
 """
 
 import itertools
+import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from treetour.generate import (
     transitive_tournament,
 )
 from treetour import search
+from treetour.formats import parse_tournament
 from treetour.graphs import mask_of
 from treetour.search import MEDIAN_EXACT_MAX_N
 
@@ -273,6 +276,146 @@ def test_exact_median_size_cap():
         median_order(random_tournament(MEDIAN_EXACT_MAX_N + 1, seed=0), mode="exact")
     with pytest.raises(ValueError):
         median_order(CYCLE3, mode="fancy")
+
+
+# Reference: the plain first-beat insertion and a local search that
+# rescans from position 0 after every move.  The fast versions must return
+# the same orders, counts and paths, because every embedding and split
+# built on them is digested.
+
+
+def _reference_redei_path(G):
+    order = []
+    for v in range(G.n):
+        row = G.out_rows[v]
+        for i, w in enumerate(order):
+            if (row >> w) & 1:
+                order.insert(i, v)
+                break
+        else:
+            order.append(v)
+    return order
+
+
+def _reference_improve_pass(G, order):
+    n = len(order)
+    for i in range(n):
+        v = order[i]
+        row_out, row_in = G.out_rows[v], G.in_rows[v]
+        delta = [0] * n
+        gain = 0
+        for j in range(i - 1, -1, -1):  # move v before position j
+            w = order[j]
+            gain += 1 if (row_out >> w) & 1 else -1
+            delta[j] = gain
+        gain = 0
+        for j in range(i + 1, n):  # move v after position j
+            w = order[j]
+            gain += 1 if (row_in >> w) & 1 else -1
+            delta[j] = gain
+        for j in range(n):
+            if j != i and delta[j] > 0:
+                order.pop(i)
+                order.insert(j, v)
+                return True
+    return False
+
+
+def _reference_median_order(G):
+    base = _reference_redei_path(G)
+    n = G.n
+    best_order = None
+    best_count = -1
+    for k in range(5):
+        r = k * n // 5
+        order = base[r:] + base[:r]
+        while _reference_improve_pass(G, order):
+            pass
+        count = forward_arc_count(G, order)
+        if count > best_count:
+            best_count = count
+            best_order = order
+    return best_order, best_count
+
+
+def _transitive_blow_up(n, blocks, seed):
+    """Vertices dealt to near-equal blocks by a seeded shuffle; arcs between
+    blocks point from the earlier block, arcs inside are coin flips."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    block = [0] * n
+    for pos, v in enumerate(perm):
+        block[v] = pos * blocks // n
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            forward = block[u] < block[v] if block[u] != block[v] else rng.random() < 0.5
+            arcs.append((u, v) if forward else (v, u))
+    return Tournament.from_arcs(n, arcs)
+
+
+def _oracle_hosts():
+    for n in range(1, 41):
+        for seed in range(3):
+            yield f"random n={n} seed={seed}", random_tournament(n, seed=seed)
+    for n in (50, 62, 66):
+        yield f"random n={n}", random_tournament(n, seed=n)
+    for n in (1, 2, 3, 7, 16, 33, 60):
+        yield f"transitive n={n}", transitive_tournament(n)
+        yield f"reversed transitive n={n}", transitive_tournament(n).reverse()
+    for n in range(1, 42, 2):
+        yield f"rotational n={n}", rotational_regular_tournament(n)
+    for n, blocks in ((30, 2), (40, 3), (60, 4)):
+        for seed in range(2):
+            yield f"blow-up n={n} seed={seed}", _transitive_blow_up(n, blocks, seed)
+    corpus = Path(__file__).parent / "data" / "greedy_misses"
+    for path in sorted(corpus.glob("*/*.trn")):
+        yield path.stem, parse_tournament(path.read_text())
+
+
+def test_local_median_order_and_redei_path_match_the_reference():
+    hosts = 0
+    for name, G in _oracle_hosts():
+        assert redei_path(G) == _reference_redei_path(G), name
+        assert median_order(G) == _reference_median_order(G), name
+        hosts += 1
+    assert hosts == 120 + 3 + 14 + 21 + 6 + 29
+
+
+def test_redei_path_of_large_transitive_host_needs_no_scan():
+    assert redei_path(transitive_tournament(8000)) == list(range(8000))
+
+
+def feedback_property_violation(G, order):
+    """Recount: for i < j, order[i] beats at least half of order[i+1..j]
+    and order[j] is beaten by at least half of order[i..j-1].  Returns the
+    first violating pair, or None."""
+    n = len(order)
+    for i in range(n):
+        wins = 0
+        for j in range(i + 1, n):
+            wins += G.has_arc(order[i], order[j])
+            if 2 * wins < j - i:
+                return ("forward", i, j)
+    for j in range(n):
+        beaten = 0
+        for i in range(j - 1, -1, -1):
+            beaten += G.has_arc(order[i], order[j])
+            if 2 * beaten < j - i:
+                return ("backward", i, j)
+    return None
+
+
+def test_local_median_order_has_the_feedback_property():
+    hosts = [random_tournament(n, seed=100 + n) for n in range(1, 45)]
+    hosts += [rotational_regular_tournament(n) for n in (5, 9, 21)]
+    hosts += [transitive_tournament(20).reverse(), _transitive_blow_up(40, 3, 7)]
+    for G in hosts:
+        order, _ = median_order(G)
+        assert feedback_property_violation(G, order) is None, G.n
+    # the recount does catch an order that is not a fixed point
+    assert feedback_property_violation(CYCLE3, [0, 2, 1]) is not None
 
 
 # ---------------------------------------------------------------------------
