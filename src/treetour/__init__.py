@@ -102,6 +102,7 @@ from .instances import (
 from .expansion import (
     ExpanderVerdict,
     SplitResult,
+    SplitRegimeError,
     SplitSearchExhausted,
     is_robust_outexpander,
     make_expander_checker,
@@ -195,6 +196,7 @@ __all__ = [
     # expansion
     "ExpanderVerdict",
     "SplitResult",
+    "SplitRegimeError",
     "SplitSearchExhausted",
     "is_robust_outexpander",
     "make_expander_checker",

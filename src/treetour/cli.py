@@ -13,7 +13,8 @@ Subcommands::
     treetour bench            timing runs for the fast primitives
 
 Exit codes: 0 success / all pass, 1 counterexample or failure, 2 invalid
-input or configuration.
+input or configuration, 3 decomposition parameters outside their working
+regime at this size (:class:`~treetour.expansion.SplitRegimeError`).
 
 Every flag default may be overridden by an environment variable named
 ``TREETOUR_<FLAG>`` (upper case, dashes as underscores): e.g.
@@ -33,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .expansion import make_expander_checker, tournament_split
+from .expansion import SplitRegimeError, make_expander_checker, tournament_split
 from .formats import parse_tournament, parse_tree, write_tournament, write_tree
 from .generate import (
     directed_path,
@@ -499,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"treetour: error: {e}", file=sys.stderr)
         return 2
+    except SplitRegimeError as e:
+        print(f"treetour: regime: {e.postcondition}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

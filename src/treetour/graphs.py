@@ -307,10 +307,13 @@ class DirectedTree:
     neighbours, ascending.  Construction validates that the underlying
     undirected graph is a tree.  ``plan`` holds the tree's search plan
     once :func:`treetour.search.greedy_embed` or ``exhaustive_embed`` has
-    built it; it takes no part in equality or hashing.
+    built it, and ``path_order`` its source-to-sink order (``()`` when it
+    is not a directed path) once
+    :func:`treetour.strategies.directed_path_order` has computed it.
+    Neither takes part in equality or hashing.
     """
 
-    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs", "plan")
+    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs", "plan", "path_order")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         arc_tuple = tuple((int(u), int(v)) for u, v in arcs)
@@ -338,6 +341,7 @@ class DirectedTree:
         self.in_nbrs = tuple(tuple(sorted(x)) for x in in_nbrs)
         self.nbrs = tuple(tuple(sorted(o + i)) for o, i in zip(out_nbrs, in_nbrs))
         self.plan = None
+        self.path_order = None
         # Connectivity: n-1 distinct edges + connected <=> tree.
         reached = self.rooted(0).order
         if len(reached) != n:

@@ -996,16 +996,26 @@ def embed_star_shaped(
 # Portfolio driver
 
 def directed_path_order(T: DirectedTree) -> list[int] | None:
-    """The source-to-sink vertex order if T is a directed path, else None."""
+    """The source-to-sink vertex order if T is a directed path, else None.
+
+    It depends on the tree alone, so it is computed once per tree object
+    and kept in ``T.path_order``, beside the tree's search plan.
+    """
+    if T.path_order is None:
+        T.path_order = _path_order(T)
+    return list(T.path_order) if T.path_order else None
+
+
+def _path_order(T: DirectedTree) -> tuple[int, ...]:
     if any(len(T.out_nbrs[v]) > 1 or len(T.in_nbrs[v]) > 1 for v in range(T.n)):
-        return None
+        return ()
     sources = [v for v in range(T.n) if not T.in_nbrs[v]]
     if len(sources) != 1:
-        return None
+        return ()
     order = [sources[0]]
     while T.out_nbrs[order[-1]]:
         order.append(T.out_nbrs[order[-1]][0])
-    return order if len(order) == T.n else None
+    return tuple(order) if len(order) == T.n else ()
 
 
 EXHAUSTIVE_MAX_N = 26

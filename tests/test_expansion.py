@@ -7,6 +7,8 @@ have few backward arcs, an irregular pair must really deviate from the
 base density.
 """
 
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ import pytest
 import treetour.expansion as expansion
 from treetour import (
     GraphDefectError,
+    SplitRegimeError,
     SplitSearchExhausted,
     Tournament,
     directed_edge_count,
@@ -31,6 +34,7 @@ from treetour.expansion import (
     NOT_EXPANDER,
     UNKNOWN,
     ClusterDensities,
+    ExpanderVerdict,
     cluster_densities,
     reduced_digraph,
 )
@@ -39,7 +43,7 @@ from treetour.generate import (
     rotational_regular_tournament,
     transitive_tournament,
 )
-from treetour.graphs import bits, full_mask, mask_of
+from treetour.graphs import bit_list, bits, full_mask, mask_of
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -126,6 +130,120 @@ def test_sampled_mode_returns_unknown_when_no_witness_surfaces():
     if v.status == NOT_EXPANDER:
         rn = robust_out_neighbourhood(G, v.witness, Fraction(1, 51))
         assert rn.bit_count() < v.witness.bit_count() + Fraction(1, 5) * 51
+
+
+# Reference: the one-subset-at-a-time Gray walk that the bit-parallel sweep
+# replaced.  Every split and digest depends on the exact verdict, witness
+# and sample count, so the sweep must reproduce all three.
+
+
+def _reference_exact_sweep(G, mu, nu):
+    n = G.n
+    lo, hi = expansion._size_window(n, nu)
+    t = expansion._ceil(mu * n)
+    if lo > hi:
+        return ExpanderVerdict(EXPANDER, "exact", mu, nu, samples=0)
+    out_lists = [bit_list(G.out_rows[v]) for v in range(n)]
+    counts = [0] * n
+    rn_size = 0
+    size = 0
+    S = 0
+    checked = 0
+    # Gray-code walk: subset i ^ (i >> 1) differs from its predecessor in
+    # exactly bit ctz(i), so membership counters update incrementally.
+    for i in range(1, 1 << n):
+        u = (i & -i).bit_length() - 1
+        bit = 1 << u
+        if S & bit:
+            S ^= bit
+            size -= 1
+            for v in out_lists[u]:
+                c = counts[v] - 1
+                counts[v] = c
+                if c == t - 1:
+                    rn_size -= 1
+        else:
+            S |= bit
+            size += 1
+            for v in out_lists[u]:
+                c = counts[v] + 1
+                counts[v] = c
+                if c == t:
+                    rn_size += 1
+        if lo <= size <= hi:
+            checked += 1
+            if rn_size < size + t:
+                if not expansion._witness_fails(G, S, mu, nu):
+                    raise GraphDefectError(
+                        "incremental expander counters disagree with the "
+                        "direct recount"
+                    )
+                return ExpanderVerdict(
+                    NOT_EXPANDER, "exact", mu, nu, witness=S, samples=checked
+                )
+    return ExpanderVerdict(EXPANDER, "exact", mu, nu, samples=checked)
+
+
+def _transitive_blow_up(n, blocks, seed):
+    """Vertices dealt to near-equal blocks by a seeded shuffle; arcs between
+    blocks point from the earlier block, arcs inside are coin flips."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    block = [0] * n
+    for pos, v in enumerate(perm):
+        block[v] = pos * blocks // n
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            forward = block[u] < block[v] if block[u] != block[v] else rng.random() < 0.5
+            arcs.append((u, v) if forward else (v, u))
+    return Tournament.from_arcs(n, arcs)
+
+
+SWEEP_PARAMETERS = [
+    (Fraction(1, 20), Fraction(1, 20)),
+    (Fraction(1, 10), Fraction(1, 5)),
+    (Fraction(1, 4), Fraction(1, 10)),
+    (Fraction(1, 3), Fraction(1, 3)),
+]
+
+
+def _sweep_hosts():
+    for n in range(1, 21):
+        for seed in range(3 if n <= 14 else 1):
+            yield random_tournament(n, seed=seed)
+    for n in (1, 2, 5, 12, 13, 17, 20):
+        yield transitive_tournament(n)
+    for n in (1, 3, 7, 11, 13, 15, 19):
+        yield rotational_regular_tournament(n)
+    for n, blocks in ((12, 2), (14, 2), (16, 3), (18, 2), (20, 3)):
+        for seed in range(2):
+            G = _transitive_blow_up(n, blocks, seed)
+            yield G
+            yield G.reverse()
+
+
+def test_exact_sweep_matches_the_reference_walk():
+    tally = {"small": 0, "expander": 0, "refuted": 0, "later block": 0, "empty": 0}
+    for G in _sweep_hosts():
+        n = G.n
+        for mu, nu in SWEEP_PARAMETERS:
+            got = is_robust_outexpander(G, mu, nu, "exact")
+            assert got == _reference_exact_sweep(G, mu, nu), (n, mu, nu)
+            tally["small" if n <= 12 else "expander" if got.is_expander else "refuted"] += 1
+            if got.is_expander:
+                # every in-window subset was examined: a closed-form recount
+                lo = math.ceil(nu * n)
+                hi = math.floor((1 - nu) * n)
+                assert got.samples == sum(math.comb(n, s) for s in range(lo, hi + 1))
+                tally["empty"] += lo > hi
+            elif n > 12 and got.witness >> 12:
+                tally["later block"] += 1
+    # both lane layouts, both verdicts, empty size windows, and witnesses
+    # past the first block
+    assert tally["small"] and tally["expander"] and tally["refuted"] and tally["empty"]
+    assert tally["later block"] >= 5, tally
 
 
 def test_verdicts_are_deterministic():
@@ -231,6 +349,74 @@ def test_random_decompositions_satisfy_postconditions():
                     row = G.out_rows[u] & p
                     recount.update((u, v) for v in bits(row))
         assert set(res.bad_edges) == recount
+
+
+def test_planted_blow_ups_split_and_satisfy_postconditions():
+    # Beside the split-postconditions suite, not in it: these hosts have
+    # planted non-expanders, and the checker is the CLI's (exact up to 20
+    # vertices, 1000 samples above), so pieces really split, and with two
+    # 30-vertex blocks bad arcs and deletions appear.
+    mu, nu, eta, gamma = Fraction(1, 20), Fraction(1, 20), Fraction(1, 50), Fraction(1, 5)
+    checker = make_expander_checker(20, 1000, 0)
+    cases = split = 0
+    deleted = bad = 0
+    for n, blocks in ((30, 2), (30, 3), (40, 2), (40, 3), (60, 2), (60, 3), (60, 4)):
+        for seed in range(3):
+            G = _transitive_blow_up(n, blocks, 100 * n + seed)
+            res = tournament_split(G, mu, nu, eta, gamma, checker)
+            cases += 1
+            split += len(res.pieces) >= 2
+            deleted += res.deleted != 0
+            bad += bool(res.bad_edges)
+            covered = 0
+            for p in res.pieces:
+                assert p and p & covered == 0
+                covered |= p
+            assert covered & res.deleted == 0
+            assert covered | res.deleted == full_mask(n)
+            assert covered.bit_count() >= (1 - gamma) * n
+            recount = set()
+            later = covered
+            for i, p in enumerate(res.pieces):
+                later &= ~p
+                for u in bits(later):
+                    recount.update((u, v) for v in bits(G.out_rows[u] & p))
+                for v in bits(p):
+                    assert (G.in_rows[v] & later).bit_count() <= gamma * n
+                    assert (G.out_rows[v] & (covered & ~later & ~p)).bit_count() <= gamma * n
+            assert recount <= set(res.bad_edges)
+            for p, label in zip(res.pieces, res.classification):
+                if label == "small":
+                    assert p.bit_count() < gamma * n
+                elif label == EXPANDER and p.bit_count() <= 15:
+                    H, _ = G.induced(p)
+                    assert _reference_exact_sweep(H, mu, nu).status == EXPANDER
+    assert split >= 0.8 * cases
+    assert deleted and bad
+
+
+def test_regime_failures_are_typed_and_not_defects():
+    assert not issubclass(SplitRegimeError, GraphDefectError)
+    with pytest.raises(SplitRegimeError, match="cover only 18 of 30") as info:
+        tournament_split(
+            random_tournament(30, 0),
+            Fraction(1, 20), Fraction(1, 20), Fraction(1, 50), Fraction(1, 5),
+        )
+    assert info.value.postcondition == "coverage"
+
+
+def test_a_false_expander_classification_is_still_a_defect():
+    # A checker that calls every piece an expander: the exact re-check of
+    # the rotational 15-vertex host (not a (1/3,1/3)-expander) catches it.
+    def lying(H, mu, nu):
+        return ExpanderVerdict(EXPANDER, "exact", mu, nu)
+
+    with pytest.raises(GraphDefectError, match="failed the exact recheck"):
+        tournament_split(
+            rotational_regular_tournament(15),
+            Fraction(1, 3), Fraction(1, 3), Fraction(1, 20), Fraction(1, 5),
+            lying,
+        )
 
 
 # ---------------------------------------------------------------------------

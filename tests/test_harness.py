@@ -366,6 +366,19 @@ def test_cli_decompose_emits_pieces(tmp_path, capsys):
     assert len(doc["classification"]) == len(doc["pieces"])
 
 
+def test_cli_decompose_reports_a_regime_failure_without_a_traceback(tmp_path, capsys):
+    # With the CLI defaults, the random 30-vertex host of seed 0 loses 12
+    # vertices to step-(5) deletions: a parameter-regime outcome, not a bug.
+    host_file = tmp_path / "g.trn"
+    code, out, _ = run_cli(capsys, "gen", "tournament", "-n", "30", "--seed", "0")
+    host_file.write_text(out)
+    code, out, err = run_cli(capsys, "decompose", "--tournament", str(host_file))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("treetour: regime: coverage: pieces cover only 18 of 30")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_verify_sumner_is_byte_stable_without_timing(capsys):
     code, first, _ = run_cli(capsys, "verify-sumner", "-n", "2", "--no-timing")
     assert code == 0

@@ -44,7 +44,12 @@ from treetour.generate import (
     transitive_tournament,
 )
 from treetour.graphs import full_mask, mask_of
-from treetour.strategies import almost_regular_subtournament, is_almost_regular
+from treetour import strategies
+from treetour.strategies import (
+    almost_regular_subtournament,
+    directed_path_order,
+    is_almost_regular,
+)
 
 
 def build_tournament(n, arc_fn):
@@ -329,6 +334,29 @@ def test_portfolio_embeds_spanning_paths_via_hamiltonian_path():
         assert out.found
         assert out.strategy == "portfolio/redei-path"
         assert is_valid_embedding(directed_path(7), G, out.embedding)
+
+
+def test_directed_path_order_is_computed_once_per_tree(monkeypatch):
+    calls = []
+    real = strategies._path_order
+    monkeypatch.setattr(
+        strategies, "_path_order", lambda T: calls.append(T) or real(T)
+    )
+    P = DirectedTree(5, [(3, 1), (1, 4), (4, 0), (0, 2)])
+    T = random_oriented_tree(6, seed=1)
+    assert T.path_order is None and P.path_order is None
+    for s in range(4):
+        G = random_tournament(10, seed=300 + s)
+        for tree in (P, T):
+            out = portfolio_embed(tree, G)
+            fresh = DirectedTree(tree.n, tree.arcs)
+            assert out == portfolio_embed(fresh, G)
+    assert P.path_order == (3, 1, 4, 0, 2) and T.path_order == ()
+    assert directed_path_order(P) == [3, 1, 4, 0, 2]
+    assert directed_path_order(T) is None
+    # one computation per tree object: P, T and each of their 8 fresh copies
+    assert sum(c is P for c in calls) == 1 and sum(c is T for c in calls) == 1
+    assert len(calls) == 2 + 8
 
 
 def test_portfolio_certifies_star_sharpness():
