@@ -625,7 +625,10 @@ def tournament_split(
     Verified before returning: the pieces cover ≥ (1−γ)·n vertices; no
     vertex has more than γ·n in-neighbours in later pieces or γ·n
     out-neighbours in earlier pieces; expander-classified pieces
-    re-certify (exactly up to 20 vertices, sampled above).
+    re-certify (exactly up to 20 vertices, sampled above).  Too little
+    coverage, or a loop that hits its iteration cap, raises
+    :class:`SplitRegimeError`; any other failed check raises
+    :class:`GraphDefectError`.
     """
     mu_f = _check_unit_interval("mu", mu, closed_top=False)
     nu_f = _check_unit_interval("nu", nu, closed_top=False)
