@@ -10,17 +10,19 @@ Subcommands::
     treetour verify-sumner    tree-into-tournament sweep (expect all Found)
     treetour verify-sharpness complete-search non-embeddability certificates
     treetour props            randomized property suites
-    treetour bench            timing runs for the fast primitives
 
 Exit codes: 0 success / all pass, 1 counterexample or failure, 2 invalid
 input or configuration, 3 decomposition parameters outside their working
 regime at this size (:class:`~treetour.expansion.SplitRegimeError`).
 
-Every flag default may be overridden by an environment variable named
-``TREETOUR_<FLAG>`` (upper case, dashes as underscores): e.g.
-``TREETOUR_SEED=7``, ``TREETOUR_WORKERS=4``, ``TREETOUR_FORMAT=csv``.
-Explicit flags win over the environment.  A ``--config FILE`` of
-``key = value`` lines is echoed into campaign summaries for provenance.
+Each subcommand takes only the flags its handler reads.  The defaults of
+``--seed``, ``--workers``, ``--budget``, ``--out``, ``--format``,
+``--config`` and ``--scale`` may be overridden by the environment
+variables ``TREETOUR_SEED``, ``TREETOUR_WORKERS``, ``TREETOUR_BUDGET``,
+``TREETOUR_OUT``, ``TREETOUR_FORMAT``, ``TREETOUR_CONFIG`` and
+``TREETOUR_SCALE``; explicit flags win over the environment.  A
+``--config FILE`` of ``key = value`` lines is echoed into campaign
+summaries for provenance.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import argparse
 import json
 import os
 import sys
-import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -57,13 +57,12 @@ from .reports import (
     verify_sharpness,
     verify_sumner,
 )
-from .search import median_order, redei_path
 from .strategies import portfolio_embed
 from .weights import core_tree
 
 __all__ = ["main"]
 
-# Expander-checker defaults of `decompose`, which `bench decompose` times.
+# Expander-checker defaults of `decompose`.
 _DECOMPOSE_EXACT_LIMIT = 20
 _DECOMPOSE_SAMPLE_BUDGET = 1000
 
@@ -108,7 +107,7 @@ def _load_tournament(path: str):
 
 
 def _write_campaign(reports, summary, args) -> int:
-    include_timing = not getattr(args, "no_timing", False)
+    include_timing = not args.no_timing
     if args.format == "csv":
         body = reports_to_csv(reports)
     else:
@@ -291,73 +290,32 @@ def _cmd_props(args) -> int:
             lines.append(f"  {f.case}: {f.detail}")
             if f.minimized:
                 lines.append(f"  minimized: {f.minimized!r}")
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        _emit(body, args.out)
-    else:
-        sys.stdout.write(body)
+    _emit("\n".join(lines) + "\n", args.out)
     sys.stdout.write(summary_to_json(summary))
     return summary.exit_code
-
-
-_BENCH_TARGETS = ("redei", "median-order", "decompose")
-
-
-def _cmd_bench(args) -> int:
-    times = []
-    for i in range(args.seeds):
-        G = random_tournament(args.n, args.seed + i)
-        start = time.perf_counter()
-        if args.target == "redei":
-            redei_path(G)
-        elif args.target == "median-order":
-            median_order(G, "local")
-        else:
-            checker = make_expander_checker(
-                exact_limit=_DECOMPOSE_EXACT_LIMIT,
-                sample_budget=_DECOMPOSE_SAMPLE_BUDGET,
-                seed=args.seed + i,
-            )
-            tournament_split(
-                G,
-                Fraction(1, 20),
-                Fraction(1, 20),
-                Fraction(1, 50),
-                Fraction(1, 5),
-                expander_checker=checker,
-            )
-        times.append(time.perf_counter() - start)
-    payload = {
-        "target": args.target,
-        "n": args.n,
-        "seeds": args.seeds,
-        "min_s": min(times),
-        "mean_s": sum(times) / len(times),
-        "max_s": max(times),
-    }
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--seed", type=int, default=int(_env("seed", 0)),
-        help="base PRNG seed (default 0)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=int(_env("workers", 1)),
-        help="parallel worker count for campaigns (default 1)",
-    )
-    p.add_argument(
-        "--budget", type=int, default=int(_env("budget", 10_000_000)),
-        help="search node budget / sample budget (default 10^7)",
-    )
+def _add_out(p: argparse.ArgumentParser, *, seed: bool = False) -> None:
+    """``--out`` for every subcommand, and ``--seed`` for the seeded ones."""
+    if seed:
+        p.add_argument(
+            "--seed", type=int, default=int(_env("seed", 0)),
+            help="base PRNG seed (default 0)",
+        )
     p.add_argument(
         "--out", default=_env("out", None),
         help="output path ('-' or omitted: stdout)",
+    )
+
+
+def _add_campaign(p: argparse.ArgumentParser) -> None:
+    """The flags of the campaign subcommands."""
+    p.add_argument(
+        "--workers", type=int, default=int(_env("workers", 1)),
+        help="parallel worker count for campaigns (default 1)",
     )
     p.add_argument(
         "--format", choices=("json", "csv"),
@@ -380,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="Environment overrides: TREETOUR_SEED, TREETOUR_WORKERS, "
-        "TREETOUR_BUDGET, TREETOUR_OUT, TREETOUR_FORMAT, TREETOUR_CONFIG.",
+        "TREETOUR_BUDGET, TREETOUR_OUT, TREETOUR_FORMAT, TREETOUR_CONFIG, "
+        "TREETOUR_SCALE.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,13 +347,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coretree", help="core tree of an oriented tree file")
     p.add_argument("--tree", required=True, help="tree file path")
     p.add_argument("--delta", type=int, required=True, help="core parameter")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_coretree)
 
     p = sub.add_parser("embed", help="embed a tree into a tournament")
     p.add_argument("--tree", required=True)
     p.add_argument("--tournament", required=True)
-    _add_common(p)
+    p.add_argument(
+        "--budget", type=int, default=int(_env("budget", 10_000_000)),
+        help="search node budget (default 10^7)",
+    )
+    _add_out(p)
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("decompose", help="expander decomposition")
@@ -411,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sample-budget", type=int, default=_DECOMPOSE_SAMPLE_BUDGET,
         help="sampled sets per expander check above the exact limit",
     )
-    _add_common(p)
+    _add_out(p, seed=True)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("gen", help="write a generated graph")
@@ -421,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--path-len", type=int, default=2,
         help="path length for near-extremal (default 2)",
     )
-    _add_common(p)
+    _add_out(p, seed=True)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("enumerate", help="stream all graphs of a size")
@@ -432,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one tournament per isomorphism class",
     )
     p.add_argument("--count-only", action="store_true")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser(
@@ -450,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=100,
         help="sample count when a source is 'sample'",
     )
-    _add_common(p)
+    _add_out(p, seed=True)
+    _add_campaign(p)
     p.set_defaults(handler=_cmd_verify_sumner)
 
     p = sub.add_parser(
@@ -463,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--near-extremal", default="6,2;7,3;8,2",
         help="semicolon-separated n,path_len pairs ('' to skip)",
     )
-    _add_common(p)
+    _add_out(p)
+    _add_campaign(p)
     p.set_defaults(handler=_cmd_verify_sharpness)
 
     p = sub.add_parser("props", help="run randomized property suites")
@@ -479,15 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inject-embedding-defect", action="store_true",
         help="negative control: corrupt one embedding; suites must fail",
     )
-    _add_common(p)
+    _add_out(p, seed=True)
     p.set_defaults(handler=_cmd_props)
-
-    p = sub.add_parser("bench", help="time the fast primitives")
-    p.add_argument("target", choices=_BENCH_TARGETS)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

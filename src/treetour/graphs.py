@@ -244,9 +244,6 @@ class Tournament:
         for u, row in enumerate(self.out_rows):
             yield from ((u, v) for v in bits(row))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     # -- derived tournaments -------------------------------------------------
 
     def reverse(self) -> "Tournament":
@@ -353,10 +350,6 @@ class DirectedTree:
     def neighbours(self, v: int) -> tuple[int, ...]:
         """Underlying neighbours of ``v``, ascending."""
         return self.nbrs[v]
-
-    def degree(self, v: int) -> int:
-        """Underlying (undirected) degree."""
-        return len(self.nbrs[v])
 
     def has_arc(self, u: int, v: int) -> bool:
         return v in self.out_nbrs[u]

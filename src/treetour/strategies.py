@@ -1030,10 +1030,14 @@ def portfolio_embed(
     along a Rédei path; one greedy pass; outbranching embedder (on T or on
     the reversed pair when T is an in-branching, hosts of at least 2|T|-2
     vertices); complete search within ``node_budget`` nodes when the host
-    has at most ``EXHAUSTIVE_MAX_N`` vertices.  The first verified
-    embedding wins and the outcome's notes name the winning stage;
-    NotFound is only produced by a completed exhaustive search (or an
-    impossible size).
+    has at most ``EXHAUSTIVE_MAX_N`` vertices.  The first embedding wins
+    and the outcome's notes name the winning stage; NotFound is only
+    produced by a completed exhaustive search (or an impossible size).
+
+    Each embedding is validated once: the greedy, outbranching and
+    exhaustive stages check their own maps and raise
+    :class:`GraphDefectError` on an invalid one, and the Rédei-path map,
+    built here, is checked here.  Campaigns re-check independently.
 
     The star-shaped and two-set procedures are not stages: no campaign,
     benchmark workload or greedy-defeating host search reached an
@@ -1047,15 +1051,16 @@ def portfolio_embed(
         )
 
     def won(phi: dict[int, int], stage: str) -> EmbedOutcome:
-        if not is_valid_embedding(T, G, phi):
-            raise GraphDefectError(f"portfolio stage {stage} produced an invalid map")
         notes.append(f"found by {stage}")
         return EmbedOutcome(FOUND, phi, nodes, f"portfolio/{stage}", tuple(notes))
 
     path = directed_path_order(T)
     if path is not None:
         spine = redei_path(G)
-        return won({path[i]: spine[i] for i in range(T.n)}, "redei-path")
+        phi = {path[i]: spine[i] for i in range(T.n)}
+        if not is_valid_embedding(T, G, phi):
+            raise GraphDefectError("portfolio stage redei-path produced an invalid map")
+        return won(phi, "redei-path")
 
     out = greedy_embed(T, G)
     nodes += out.nodes

@@ -423,14 +423,7 @@ def test_cli_csv_format(capsys):
     assert out.splitlines()[0].startswith("instance,verdict,ok,")
 
 
-def test_cli_bench_emits_stats(capsys):
-    code, out, _ = run_cli(capsys, "bench", "redei", "-n", "40", "--seeds", "2")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["target"] == "redei" and doc["min_s"] <= doc["mean_s"] <= doc["max_s"]
-
-
-def test_cli_bench_decompose_times_the_decompose_checker(tmp_path, capsys, monkeypatch):
+def test_cli_decompose_builds_its_expander_checker(tmp_path, capsys, monkeypatch):
     made = []
     real = cli.make_expander_checker
 
@@ -443,14 +436,34 @@ def test_cli_bench_decompose_times_the_decompose_checker(tmp_path, capsys, monke
     host_file.write_text(write_tournament(random_tournament(12, 3)))
     code, _, _ = run_cli(capsys, "decompose", "--tournament", str(host_file), "--seed", "3")
     assert code == 0
-    code, out, _ = run_cli(
-        capsys, "bench", "decompose", "-n", "12", "--seeds", "1", "--seed", "3"
-    )
-    assert code == 0 and json.loads(out)["target"] == "decompose"
-    assert made == [made[0]] * 2
-    assert made[0]["sample_budget"] > 0 and made[0]["exact_limit"] > 14
-    code, _, _ = run_cli(capsys, "bench", "redei", "-n", "12", "--seeds", "2")
-    assert code == 0 and len(made) == 2
+    assert made == [{"exact_limit": 20, "sample_budget": 1000, "seed": 3}]
+
+
+# For each subcommand one flag that its handler has no use for, and a
+# subcommand that does not exist: each is an argparse usage error.
+_REMOVED_FLAGS = [
+    (("coretree", "--tree", "t.tree", "--delta", "2"), ("--seed", "1")),
+    (("embed", "--tree", "t.tree", "--tournament", "g.trn"), ("--workers", "4")),
+    (("decompose", "--tournament", "g.trn"), ("--budget", "9")),
+    (("gen", "tournament", "-n", "5"), ("--format", "csv")),
+    (("enumerate", "trees", "-n", "3"), ("--no-timing",)),
+    (("verify-sumner", "-n", "2"), ("--budget", "5")),
+    (("verify-sharpness",), ("--seed", "1")),
+    (("props", "--suites", "degree-identities"), ("--config", "run.cfg")),
+    (("bench", "redei", "-n", "12"), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, removed",
+    _REMOVED_FLAGS,
+    ids=[" ".join(argv[:1] + removed[:1]) for argv, removed in _REMOVED_FLAGS],
+)
+def test_cli_rejects_flags_no_handler_reads(argv, removed, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv + removed))
+    assert exit_info.value.code == 2
+    assert "usage: treetour" in capsys.readouterr().err
 
 
 def test_cli_errors_exit_with_two(tmp_path, capsys):

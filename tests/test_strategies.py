@@ -14,6 +14,7 @@ import pytest
 
 from treetour import (
     DirectedTree,
+    GraphDefectError,
     HypothesisViolation,
     OneByOneInstance,
     RoundTheBackInstance,
@@ -44,7 +45,7 @@ from treetour.generate import (
     transitive_tournament,
 )
 from treetour.graphs import full_mask, mask_of
-from treetour import strategies
+from treetour import search, strategies
 from treetour.strategies import (
     almost_regular_subtournament,
     directed_path_order,
@@ -357,6 +358,40 @@ def test_directed_path_order_is_computed_once_per_tree(monkeypatch):
     # one computation per tree object: P, T and each of their 8 fresh copies
     assert sum(c is P for c in calls) == 1 and sum(c is T for c in calls) == 1
     assert len(calls) == 2 + 8
+
+
+def test_portfolio_validates_each_embedding_once(monkeypatch):
+    # Greedy checks its own map, and the Redei-path map is checked where
+    # it is built: the driver adds no second check to either.
+    calls = []
+    real = strategies.is_valid_embedding
+
+    def counting(T, G, phi):
+        calls.append(T)
+        return real(T, G, phi)
+
+    monkeypatch.setattr(strategies, "is_valid_embedding", counting)
+    monkeypatch.setattr(search, "is_valid_embedding", counting)
+    T, G = inward_star(4), transitive_tournament(6)
+    out = portfolio_embed(T, G)
+    assert out.strategy == "portfolio/greedy" and out.notes == ("found by greedy",)
+    assert len(calls) == 1
+    calls.clear()
+    P, H = directed_path(7), random_tournament(7, seed=100)
+    out = portfolio_embed(P, H)
+    assert out.strategy == "portfolio/redei-path"
+    assert calls == [P]
+
+
+def test_redei_path_stage_rejects_a_wrong_path_order(monkeypatch):
+    real = strategies.directed_path_order
+    monkeypatch.setattr(
+        strategies,
+        "directed_path_order",
+        lambda T: None if real(T) is None else real(T)[::-1],
+    )
+    with pytest.raises(GraphDefectError, match="redei-path"):
+        portfolio_embed(directed_path(5), random_tournament(5, seed=1))
 
 
 def test_portfolio_certifies_star_sharpness():
