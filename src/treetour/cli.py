@@ -34,7 +34,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .expansion import SplitRegimeError, make_expander_checker, tournament_split
+from .expansion import (
+    EXACT_EXPANDER_MAX_N,
+    SplitRegimeError,
+    make_expander_checker,
+    tournament_split,
+)
 from .formats import parse_tournament, parse_tree, write_tournament, write_tree
 from .generate import (
     directed_path,
@@ -62,8 +67,7 @@ from .weights import core_tree
 
 __all__ = ["main"]
 
-# Expander-checker defaults of `decompose`.
-_DECOMPOSE_EXACT_LIMIT = 20
+# Sampled-check default of `decompose`.
 _DECOMPOSE_SAMPLE_BUDGET = 1000
 
 
@@ -367,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="1/50")
     p.add_argument("--gamma", default="1/5")
     p.add_argument(
-        "--exact-limit", type=int, default=_DECOMPOSE_EXACT_LIMIT,
-        help=f"largest piece checked exactly (default {_DECOMPOSE_EXACT_LIMIT})",
+        "--exact-limit", type=int, default=EXACT_EXPANDER_MAX_N,
+        help=f"largest piece checked exactly (default {EXACT_EXPANDER_MAX_N})",
     )
     p.add_argument(
         "--sample-budget", type=int, default=_DECOMPOSE_SAMPLE_BUDGET,

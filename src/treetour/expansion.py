@@ -17,7 +17,9 @@ in-neighbours inside ``S``.  This module provides:
   μ ∈ {1/20, 1/10} (Python 3.11, one core of a shared 2-vCPU Xeon),
   where a walk of one subset at a time took about 1.2 s;
 * :func:`non_expander_split` — partition a non-expander into two sets
-  with a verified small forward arc count;
+  with few forward arcs, choosing among the repaired witness, its
+  repaired complement and the out-degree-order prefixes, and verifying
+  the ``4μn²`` bound on the forward arc count before returning;
 * :func:`tournament_split` — iteratively peel low-semidegree vertices
   and split non-expander pieces until every piece is small or a robust
   outexpander, tracking bad (backward) arcs and deleting vertices that
@@ -49,7 +51,6 @@ from .graphs import (
     full_mask,
     mask_of,
 )
-from .search import median_order
 
 __all__ = [
     "EXPANDER",
@@ -430,14 +431,15 @@ def non_expander_split(
 ) -> tuple[int, int]:
     """Partition a non-expander into (S, S′) with few arcs S → S′.
 
-    Requires ``ν·n < |S|, |S′| < (1−ν)·n`` and ``e(S→S′) ≤ 4μn²``; the
-    bound is verified before returning.  Candidates: the witness and its
-    complement with greedy single-vertex repair, every admissible cut of
-    the out-degree order and of a locally-optimised median order (both
-    orientations each), and hill-climbing from the best cut.  If no
-    candidate meets the bound, raises :class:`SplitSearchExhausted` —
-    the partition is guaranteed to exist asymptotically, but the search
-    is not exhaustive.
+    Requires ``ν·n < |S|, |S′| < (1−ν)·n`` and ``e(S→S′) ≤ 4μn²``.  The
+    candidates for S are three families: the non-expansion witness and
+    its complement, each moved into the size window one vertex at a time
+    by greedy repair, and every prefix of the out-degree order (ascending,
+    ties by index) whose length lies in the window.  The candidate with
+    the least ``(e(S→S′), S)`` is returned once its count is verified
+    against ``4μn²``.  If it exceeds the bound, raises
+    :class:`SplitSearchExhausted` — the partition is guaranteed to exist
+    asymptotically, but the search is not exhaustive.
     """
     mu_f = _check_unit_interval("mu", mu, closed_top=True)
     nu_f = _check_unit_interval("nu", nu, closed_top=True)
@@ -476,9 +478,6 @@ def non_expander_split(
     def cost(S: int) -> int:
         return directed_edge_count(G, S, every & ~S)
 
-    def admissible(S: int) -> bool:
-        return lo <= S.bit_count() <= hi
-
     def repair(S: int) -> int:
         """Move single vertices to restore the strict size window."""
         while S.bit_count() < lo:
@@ -497,42 +496,12 @@ def non_expander_split(
             S &= ~(1 << best)
         return S
 
-    candidates: list[int] = []
-
-    def add(S: int) -> None:
-        if 0 < S < every:
-            S = repair(S)
-            if admissible(S) and S not in candidates:
-                candidates.append(S)
-
-    add(witness)
-    add(every & ~witness)
+    # repair() moves the witness and its complement into the strict
+    # window; the degree-order prefixes lie in it by their length.
     deg_order = sorted(range(n), key=lambda v: (G.out_deg(v), v))
-    med_order, _ = median_order(G, "local")
-    for order in (deg_order, list(reversed(med_order))):
-        for k in range(lo, hi + 1):
-            add(mask_of(order[:k]))
-    if not candidates:
-        raise SplitSearchExhausted(
-            "no admissible candidate partitions at this size window"
-        )
-    best = min(candidates, key=lambda S: (cost(S), S))
-
-    def climb(S: int) -> int:
-        improved = True
-        while improved:
-            improved = False
-            base_cost = cost(S)
-            for v in range(n):
-                moved = S ^ (1 << v)
-                if admissible(moved) and cost(moved) < base_cost:
-                    S = moved
-                    improved = True
-                    break
-        return S
-
-    best = climb(best)
-    best_cost = cost(best)
+    candidates = [repair(witness), repair(every & ~witness)]
+    candidates += [mask_of(deg_order[:k]) for k in range(lo, hi + 1)]
+    best_cost, best = min((cost(S), S) for S in candidates)
     if best_cost <= bound:
         return best, every & ~best
     raise SplitSearchExhausted(

@@ -228,12 +228,6 @@ class Tournament:
     def has_arc(self, u: int, v: int) -> bool:
         return bool((self.out_rows[u] >> v) & 1)
 
-    def out_mask(self, v: int) -> int:
-        return self.out_rows[v]
-
-    def in_mask(self, v: int) -> int:
-        return self.in_rows[v]
-
     def out_deg(self, v: int) -> int:
         return self.out_rows[v].bit_count()
 

@@ -9,12 +9,14 @@ base density.
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 import treetour.expansion as expansion
+import treetour.search as search
 from treetour import (
     GraphDefectError,
     SplitRegimeError,
@@ -257,11 +259,39 @@ def test_verdicts_are_deterministic():
 # Splitting at a non-expansion witness
 
 
+def _least_candidate(G, mu, nu):
+    """Recount the split rule: the least (forward arcs, mask) among the
+    witness and its complement, each repaired into the strict size window,
+    and the out-degree-order prefixes whose length lies in that window."""
+    n = G.n
+    every = full_mask(n)
+    mode = "exact" if n <= 20 else "sampled"
+    witness = is_robust_outexpander(G, mu, nu, mode, 1000, seed=0).witness
+    sizes = [k for k in range(1, n) if nu * n < k < (1 - nu) * n]
+
+    def forward(S):
+        return sum((G.out_rows[u] & ~S).bit_count() for u in bits(S))
+
+    def repaired(S):
+        while S.bit_count() < sizes[0]:
+            rest = every & ~S
+            S |= 1 << min(bits(rest), key=lambda v: ((G.out_rows[v] & rest).bit_count(), v))
+        while S.bit_count() > sizes[-1]:
+            S &= ~(1 << min(bits(S), key=lambda v: ((G.in_rows[v] & S).bit_count(), v)))
+        return S
+
+    order = sorted(range(n), key=lambda v: (bin(G.out_rows[v]).count("1"), v))
+    candidates = [repaired(witness), repaired(every & ~witness)]
+    candidates += [mask_of(order[:k]) for k in sizes]
+    return min((forward(S), S) for S in candidates)[1]
+
+
 def test_split_of_transitive_has_few_backward_arcs():
     G = transitive_tournament(20)
     S, Sp = non_expander_split(G, Fraction(1, 20), Fraction(1, 5))
     assert S | Sp == full_mask(20) and S & Sp == 0
     assert directed_edge_count(G, S, Sp) <= 4 * Fraction(1, 20) * 400
+    assert S == _least_candidate(G, Fraction(1, 20), Fraction(1, 5))
 
 
 def test_split_recovers_planted_blocks():
@@ -269,6 +299,7 @@ def test_split_recovers_planted_blocks():
     S, Sp = non_expander_split(G, Fraction(1, 25), Fraction(3, 10))
     assert directed_edge_count(G, S, Sp) <= 4 * Fraction(1, 25) * 484
     assert S == mask_of(range(11))  # the dominated block
+    assert S == _least_candidate(G, Fraction(1, 25), Fraction(3, 10))
 
 
 def test_split_refuses_certified_expanders():
@@ -393,6 +424,35 @@ def test_planted_blow_ups_split_and_satisfy_postconditions():
                     assert _reference_exact_sweep(H, mu, nu).status == EXPANDER
     assert split >= 0.8 * cases
     assert deleted and bad
+
+
+def test_splits_of_planted_hosts_compute_no_median_order():
+    # The split candidates are read off the witness and the out-degree
+    # order; no median order is computed.  The profile hook matches code
+    # objects, so it counts calls made through any module binding.
+    targets = {search.median_order.__code__: "median_order",
+               expansion.non_expander_split.__code__: "non_expander_split"}
+    calls = {"median_order": 0, "non_expander_split": 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in targets:
+            calls[targets[frame.f_code]] += 1
+
+    cli_params = (Fraction(1, 20), Fraction(1, 20), Fraction(1, 50), Fraction(1, 5),
+                  make_expander_checker(20, 1000, 0))
+    runs = [(two_block_tournament(), (Fraction(1, 25), Fraction(1, 5), Fraction(1, 20),
+                                      Fraction(3, 10), make_expander_checker(exact_limit=11)))]
+    runs += [(_transitive_blow_up(n, blocks, 100 * n), cli_params)
+             for n, blocks in ((30, 2), (40, 3), (60, 4))]
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for G, params in runs:
+            tournament_split(G, *params)
+    finally:
+        sys.setprofile(previous)
+    assert calls["non_expander_split"] >= len(runs)
+    assert calls["median_order"] == 0
 
 
 def test_regime_failures_are_typed_and_not_defects():

@@ -379,6 +379,24 @@ def test_cli_decompose_reports_a_regime_failure_without_a_traceback(tmp_path, ca
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_decompose_sweep_of_random_hosts_ends_in_a_split_or_a_regime(tmp_path, capsys):
+    # 100 seeded random hosts, n = 10, 20, ..., 100, with the CLI defaults:
+    # each one either decomposes (exit 0) or reports one regime line (exit 3).
+    host_file = tmp_path / "g.trn"
+    decomposed = Counter()
+    for n in range(10, 101, 10):
+        for s in range(10):
+            host_file.write_text(write_tournament(random_tournament(n, s)))
+            code, _, err = run_cli(capsys, "decompose", "--tournament", str(host_file))
+            assert code in (0, 3), (n, s, err)
+            if code == 0:
+                decomposed[n] += 1
+            else:
+                assert err.startswith("treetour: regime: "), (n, s, err)
+                assert err.count("\n") == 1 and "Traceback" not in err
+    assert decomposed == {10: 10, 20: 10, 40: 9, 50: 1}
+
+
 def test_cli_verify_sumner_is_byte_stable_without_timing(capsys):
     code, first, _ = run_cli(capsys, "verify-sumner", "-n", "2", "--no-timing")
     assert code == 0
