@@ -425,9 +425,6 @@ def non_expander_split(
     mu,
     nu,
     witness: int | None = None,
-    *,
-    sample_budget: int = 1000,
-    seed: int = 0,
 ) -> tuple[int, int]:
     """Partition a non-expander into (S, S′) with few arcs S → S′.
 
@@ -445,10 +442,7 @@ def non_expander_split(
     nu_f = _check_unit_interval("nu", nu, closed_top=True)
     n = G.n
     if witness is None:
-        mode = "exact" if n <= EXACT_EXPANDER_MAX_N else "sampled"
-        verdict = is_robust_outexpander(
-            G, mu_f, nu_f, mode, sample_budget, seed=seed
-        )
+        verdict = make_expander_checker()(G, mu_f, nu_f)
         if verdict.status == EXPANDER:
             raise ValueError(
                 "precondition failed: the tournament is a robust "

@@ -143,9 +143,7 @@ def rotational_regular_tournament(m: int) -> Tournament:
     return Tournament(m, rows, _trusted=True)
 
 
-def near_extremal_pair(
-    n: int, path_len: int, *, x_random_seed: int | None = None
-) -> tuple[DirectedTree, Tournament]:
+def near_extremal_pair(n: int, path_len: int) -> tuple[DirectedTree, Tournament]:
     """A tree/tournament pair witnessing sharpness just below 2n-2.
 
     Tree T on ``n`` vertices: a directed path on ``path_len`` vertices
@@ -155,9 +153,8 @@ def near_extremal_pair(
 
     Tournament G on ``2n - path_len - 3`` vertices: rotational blocks
     Y (ids 0 .. 2y-2) and Z (ids 2y-1 .. 4y-3) on 2y-1 vertices each and a
-    block X on path_len-1 vertices (ids 4y-2 ..), transitive in id order
-    (or uniformly random per ``x_random_seed``, stream label
-    ``"near_extremal_x"``); all arcs Z -> X, X -> Y, and Z -> Y.
+    block X on path_len-1 vertices (ids 4y-2 ..), transitive in id order;
+    all arcs Z -> X, X -> Y, and Z -> Y.
 
     G contains no copy of T; certification is by complete search.
     """
@@ -179,12 +176,7 @@ def near_extremal_pair(
     g_arcs: list[tuple[int, int]] = []
     for ids in (y_ids, z_ids):
         g_arcs += [(ids[u], ids[v]) for u, v in rot.arcs()]
-    if x_random_seed is None:
-        g_arcs += [(u, v) for u, v in itertools.combinations(x_ids, 2)]
-    else:
-        rng = stream(x_random_seed, "near_extremal_x")
-        for u, v in itertools.combinations(x_ids, 2):
-            g_arcs.append((u, v) if rng.next64() & 1 else (v, u))
+    g_arcs += [(u, v) for u, v in itertools.combinations(x_ids, 2)]
     g_arcs += [(z, x) for z in z_ids for x in x_ids]
     g_arcs += [(x, yv) for x in x_ids for yv in y_ids]
     g_arcs += [(z, yv) for z in z_ids for yv in y_ids]

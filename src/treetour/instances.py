@@ -8,7 +8,9 @@ mutators take a built instance and damage exactly one named hypothesis,
 certifying that the validators are sound and name the right condition.
 
 All randomness flows through the package's seeded generator streams, so
-every instance is a pure function of its seed.
+every instance is a pure function of its seed (and, for one-by-one, its
+variant).  The sizes and parameters the builders draw within are the
+module constants below.
 """
 
 from __future__ import annotations
@@ -29,6 +31,20 @@ __all__ = [
     "break_two_set",
     "flip_arcs",
 ]
+
+# largest branch and branch count of a round-the-back tree
+ROUND_THE_BACK_MAX_D = 3
+ROUND_THE_BACK_MAX_BRANCHES = 4
+# largest hanging component, component count and seeded-subtree size
+ONE_BY_ONE_MAX_D = 3
+ONE_BY_ONE_MAX_COMPS = 4
+ONE_BY_ONE_CORE_SIZE = 3
+# largest forest component, components per forest, and the α, γ of the
+# two-set hypotheses
+TWO_SET_MAX_COMP = 4
+TWO_SET_COMPS_PER_FOREST = 3
+TWO_SET_ALPHA = Fraction(1, 4)
+TWO_SET_GAMMA = Fraction(1, 8)
 
 
 def flip_arcs(G: Tournament, pairs: list[tuple[int, int]]) -> Tournament:
@@ -80,19 +96,18 @@ def _fill_random(
 # ---------------------------------------------------------------------------
 # Round-the-back instances
 
-def random_round_the_back_instance(
-    seed: int, *, max_d: int = 3, max_branches: int = 4
-) -> RoundTheBackInstance:
+def random_round_the_back_instance(seed: int) -> RoundTheBackInstance:
     """A hypothesis-satisfying round-the-back instance.
 
-    The tree hangs 1..max_branches branches (largest has d vertices) off
+    The tree hangs 1..``ROUND_THE_BACK_MAX_BRANCHES`` branches (the
+    largest has d <= ``ROUND_THE_BACK_MAX_D`` vertices) off
     an in-degree-0 root; the host gives the prescribed vertex all of N as
     out-neighbours and wires every N-vertex to 6d in- and 6d
     out-neighbours inside X.
     """
     rng = stream(seed, "instance:round-the-back")
-    d = 1 + rng.next_below(max_d)
-    n_branches = 1 + rng.next_below(max_branches)
+    d = 1 + rng.next_below(ROUND_THE_BACK_MAX_D)
+    n_branches = 1 + rng.next_below(ROUND_THE_BACK_MAX_BRANCHES)
     sizes = [d] + [1 + rng.next_below(d) for _ in range(n_branches - 1)]
     arcs: list[tuple[int, int]] = []
     offset = 1
@@ -180,14 +195,7 @@ def break_round_the_back(
 # ---------------------------------------------------------------------------
 # One-by-one instances
 
-def random_one_by_one_instance(
-    seed: int,
-    variant: str = "a",
-    *,
-    max_d: int = 3,
-    max_comps: int = 4,
-    c_size: int = 3,
-) -> OneByOneInstance:
+def random_one_by_one_instance(seed: int, variant: str = "a") -> OneByOneInstance:
     """A hypothesis-satisfying one-by-one instance of the given variant.
 
     The host mirrors the subtree on its first vertices (the seed is the
@@ -200,10 +208,11 @@ def random_one_by_one_instance(
     if variant not in ("a", "b", "c"):
         raise ValueError(f"unknown variant {variant!r}")
     rng = stream(seed, f"instance:one-by-one:{variant}")
+    c_size = ONE_BY_ONE_CORE_SIZE
     core = _random_subtree(rng, c_size)
     arcs = list(core.arcs)
-    d = 1 + rng.next_below(max_d)
-    n_comps = 1 + rng.next_below(max_comps)
+    d = 1 + rng.next_below(ONE_BY_ONE_MAX_D)
+    n_comps = 1 + rng.next_below(ONE_BY_ONE_MAX_COMPS)
     sizes = [d] + [1 + rng.next_below(d) for _ in range(n_comps - 1)]
     if variant == "c":
         all_direction = "out" if rng.next_below(2) == 0 else "in"
@@ -247,9 +256,6 @@ def random_one_by_one_instance(
             (need_n, "s-out"),
             (need_n, "s-in"),
         ]
-    if variant == "c":
-        # the first block doubles as N'; keep N' = N for simplicity here
-        pass
     nxt = c_size
     n_prime_ids: list[int] = []
     n_ids: list[int] = []
@@ -338,14 +344,7 @@ def break_one_by_one(inst: OneByOneInstance, which: str) -> OneByOneInstance:
 # ---------------------------------------------------------------------------
 # Two-set instances
 
-def random_two_set_instance(
-    seed: int,
-    *,
-    max_comp: int = 4,
-    comps_per_forest: int = 3,
-    alpha: Fraction | int | float | str = Fraction(1, 4),
-    gamma: Fraction | int | float | str = Fraction(1, 8),
-) -> TwoSetInstance:
+def random_two_set_instance(seed: int) -> TwoSetInstance:
     """A hypothesis-satisfying two-set instance.
 
     Builds the tree by alternately hanging F⁻ and F⁺ components with all
@@ -354,14 +353,13 @@ def random_two_set_instance(
     flips a few Y → Z arcs while respecting the per-vertex γ·n caps.
     """
     rng = stream(seed, "instance:two-set")
-    a = as_fraction(alpha)
-    g = as_fraction(gamma)
-    n_minus = 1 + rng.next_below(comps_per_forest)
-    n_plus = 1 + rng.next_below(comps_per_forest)
+    a, g = TWO_SET_ALPHA, TWO_SET_GAMMA
+    n_minus = 1 + rng.next_below(TWO_SET_COMPS_PER_FOREST)
+    n_plus = 1 + rng.next_below(TWO_SET_COMPS_PER_FOREST)
     plus_sizes = sorted(
-        (1 + rng.next_below(max_comp) for _ in range(n_plus)), reverse=True
+        (1 + rng.next_below(TWO_SET_MAX_COMP) for _ in range(n_plus)), reverse=True
     )
-    minus_sizes = [1 + rng.next_below(max_comp) for _ in range(n_minus)]
+    minus_sizes = [1 + rng.next_below(TWO_SET_MAX_COMP) for _ in range(n_minus)]
 
     arcs: list[tuple[int, int]] = []
     first = _random_subtree(rng, plus_sizes[0])

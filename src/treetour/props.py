@@ -791,6 +791,19 @@ def _feedback_violation(G: Tournament, order: list[int]) -> tuple[int, int] | No
     return None
 
 
+def _second_neighbourhood_gap(G: Tournament, v: int) -> int:
+    """|N⁺⁺(v)| − |N⁺(v)|, recounted arc by arc: N⁺⁺(v) is the set of
+    vertices at distance exactly two from v."""
+    first = [u for u in range(G.n) if G.has_arc(v, u)]
+    second = {
+        w
+        for u in first
+        for w in range(G.n)
+        if w != v and G.has_arc(u, w) and not G.has_arc(v, w)
+    }
+    return len(second) - len(first)
+
+
 @_suite("median-order-sanity")
 def _median_order_sanity(config, col):
     rng = stream(config.seed, "props:median-order-sanity")
@@ -818,6 +831,12 @@ def _median_order_sanity(config, col):
             _feedback_violation(G, order) is None,
             case,
             "local median order breaks the feedback property",
+            tournament=G,
+        )
+        col.check(
+            _second_neighbourhood_gap(G, order[-1]) >= 0,
+            case,
+            "last vertex of the local median order has |N⁺⁺| < |N⁺|",
             tournament=G,
         )
         col.check(

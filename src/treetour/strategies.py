@@ -4,11 +4,13 @@ This module turns three finite embedding guarantees into executable
 procedures.  Each procedure takes an *instance* — the tree, the host, a
 partition of the host's vertices and the numeric parameters — validates
 every stated hypothesis exactly (integer and Fraction arithmetic, no
-floats), and then runs the constructive argument step by step.  Inner
-single-component placements are done greedy-first with a complete
-backtracking search as fallback; because a validated instance guarantees
-enough room (three times the component size), an inner failure is a
-defect and raises, never a silent miss.
+floats), and then runs the constructive argument step by step.  Every
+inner single-component placement of the three procedures goes through
+one helper, greedy-first with a complete backtracking search as
+fallback; because a validated instance guarantees enough room (three
+times the component size), an inner failure is a defect and raises
+:class:`GraphDefectError` naming the procedure and side, never a silent
+miss.
 
 Contents:
 
@@ -30,7 +32,10 @@ Contents:
   almost-regular subtournament.
 * ``embed_star_shaped`` — the strategy for trees whose weight core is a
   single vertex: find one host vertex with enough out- and in-degree, or
-  split the host into degree classes and finish through an outbranching.
+  split the host into degree classes and finish through round-the-back
+  (wide branch) or an outbranching (narrow branch).  Each root-seeded
+  extension relabels its region and runs variant ``c`` of the one-by-one
+  extension through one helper.
 * ``portfolio_embed`` — the dispatch driver: greedy, path and
   out-/in-branching specialisations, then complete search on hosts of at
   most ``EXHAUSTIVE_MAX_N`` vertices.  NotFound is only ever produced by
@@ -122,46 +127,34 @@ def _extract_subtree(T: DirectedTree, mask: int) -> tuple[DirectedTree, list[int
     return DirectedTree(len(verts), arcs), verts
 
 
-def _embed_component(
-    tree: DirectedTree,
+def _place(
+    phi: dict[int, int],
+    T: DirectedTree,
+    comp: int,
     G: Tournament,
     allowed: int,
-    *,
-    context: str,
-    stats: list[str] | None,
-) -> dict[int, int] | None:
-    """Place a whole component inside ``allowed``; greedy then complete.
-
-    Records the available-room-to-size ratio against the 3x yardstick the
-    guarantees are calibrated to.  Returns None only when the complete
-    search proves no placement exists inside ``allowed``.
-    """
-    avail = allowed.bit_count()
-    if stats is not None:
-        ratio = "3x-headroom" if avail >= 3 * tree.n else f"room {avail}/{tree.n}"
-        stats.append(f"{context}: {tree.n} vertices, {avail} available ({ratio})")
-    if avail < tree.n:
-        return None
-    constraints = SearchConstraints(allowed={u: allowed for u in range(tree.n)})
-    outcome = greedy_embed(tree, G, constraints)
-    if not outcome.found:
-        outcome = exhaustive_embed(tree, G, constraints)
-    if outcome.found:
-        assert outcome.embedding is not None
-        return dict(outcome.embedding)
-    return None
-
-
-def _merge(
-    phi: dict[int, int], sub: dict[int, int], old_ids: list[int], host_ids: list[int]
+    where: str,
 ) -> int:
-    """Merge a relabelled sub-embedding into phi; returns new host mask."""
-    used = 0
-    for new_id, host in sub.items():
-        g_host = host_ids[host]
-        phi[old_ids[new_id]] = g_host
-        used |= 1 << g_host
-    return used
+    """Place the component T[comp] inside ``allowed``; greedy then complete.
+
+    The placement is merged into ``phi`` and the host mask it uses is
+    returned.  A validated instance leaves room for every component, so a
+    placement the complete search cannot make raises
+    :class:`GraphDefectError` naming ``where`` (procedure and side).
+    """
+    sub, old = _extract_subtree(T, comp)
+    outcome = None
+    if allowed.bit_count() >= sub.n:
+        constraints = SearchConstraints(allowed={u: allowed for u in range(sub.n)})
+        outcome = greedy_embed(sub, G, constraints)
+        if not outcome.found:
+            outcome = exhaustive_embed(sub, G, constraints)
+    if outcome is None or not outcome.found:
+        raise GraphDefectError(f"{where} placement failed on a validated instance")
+    assert outcome.embedding is not None
+    for i, h in outcome.embedding.items():
+        phi[old[i]] = h
+    return mask_of(outcome.embedding.values())
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +227,7 @@ def _validate_round_the_back(inst: RoundTheBackInstance) -> tuple[int, int]:
     return d, qual
 
 
-def round_the_back(
-    inst: RoundTheBackInstance, *, stats: list[str] | None = None
-) -> dict[int, int]:
+def round_the_back(inst: RoundTheBackInstance) -> dict[int, int]:
     """Embed T with root on v, branches in N, and at most 4d spill into X.
 
     Branches of ``T - t`` are processed in decreasing size (ties to the
@@ -255,7 +246,6 @@ def round_the_back(
         hanging_components(T, 1 << inst.t),
         key=lambda h: (-h.comp.bit_count(), _lsb(h.comp)),
     )
-    host_ids = list(range(G.n))
     for comp, _t, t_i, direction in branches:
         if direction != "out":
             raise GraphDefectError("root with an in-branch survived validation")
@@ -275,16 +265,9 @@ def round_the_back(
             ]
             for piece, _v, _w, pdir in ordered:
                 row = G.out_rows[v_i] if pdir == "out" else G.in_rows[v_i]
-                allowed = row & inst.X & ~occupied
-                sub_tree, old = _extract_subtree(T, piece)
-                got = _embed_component(
-                    sub_tree, G, allowed, context="round-the-back branch", stats=stats
+                occupied |= _place(
+                    phi, T, piece, G, row & inst.X & ~occupied, "round-the-back: X-side"
                 )
-                if got is None:
-                    raise GraphDefectError(
-                        "round-the-back: X-side placement failed on a validated instance"
-                    )
-                occupied |= _merge(phi, got, old, host_ids)
         elif x_occupied < 3 * d:
             if size != 1:
                 raise GraphDefectError(
@@ -297,16 +280,9 @@ def round_the_back(
             phi[t_i] = _lsb(free_n)
             occupied |= free_n & -free_n
         else:
-            allowed = inst.N & ~occupied
-            sub_tree, old = _extract_subtree(T, comp)
-            got = _embed_component(
-                sub_tree, G, allowed, context="round-the-back N-branch", stats=stats
+            occupied |= _place(
+                phi, T, comp, G, inst.N & ~occupied, "round-the-back: N-side"
             )
-            if got is None:
-                raise GraphDefectError(
-                    "round-the-back: N-side placement failed on a validated instance"
-                )
-            occupied |= _merge(phi, got, old, host_ids)
     x_used = (occupied & inst.X).bit_count()
     if x_used > 4 * d:
         raise GraphDefectError(
@@ -444,9 +420,7 @@ def _validate_one_by_one(
     return comps, d, n_prime, r
 
 
-def extend_one_by_one(
-    inst: OneByOneInstance, *, stats: list[str] | None = None
-) -> dict[int, int]:
+def extend_one_by_one(inst: OneByOneInstance) -> dict[int, int]:
     """Extend the seed embedding over all hanging components.
 
     Components are processed in ascending order of their smallest vertex
@@ -462,7 +436,6 @@ def extend_one_by_one(
     T, G = inst.T, inst.G
     phi: dict[int, int] = dict(inst.seed)
     occupied = mask_of(phi.values())
-    host_ids = list(range(G.n))
     landed_new = 0
     for comp, t_c, _w, direction in comps:
         v = phi[t_c]
@@ -478,15 +451,7 @@ def extend_one_by_one(
             k = r - occ_prime
             outside = row & (inst.N & ~n_prime) & ~occupied
             allowed = (prime_side & ~occupied) | _first_bits(outside, size - k)
-        sub_tree, old = _extract_subtree(T, comp)
-        got = _embed_component(
-            sub_tree, G, allowed, context="one-by-one component", stats=stats
-        )
-        if got is None:
-            raise GraphDefectError(
-                "one-by-one: component placement failed on a validated instance"
-            )
-        used = _merge(phi, got, old, host_ids)
+        used = _place(phi, T, comp, G, allowed, "one-by-one: component")
         occupied |= used
         landed_new |= used
     if (landed_new & n_prime).bit_count() < r:
@@ -580,9 +545,7 @@ def _validate_two_set(inst: TwoSetInstance) -> list[int]:
     return plus_comps
 
 
-def component_by_component(
-    inst: TwoSetInstance, *, stats: list[str] | None = None
-) -> dict[int, int]:
+def component_by_component(inst: TwoSetInstance) -> dict[int, int]:
     """Grow the seed over all remaining forest components.
 
     Components are taken in an order where each new one touches the
@@ -601,7 +564,6 @@ def component_by_component(
     occupied = mask_of(phi.values())
     prefix = first
     remaining = comps_all[:]
-    host_ids = list(range(G.n))
     while remaining:
         adjacent = [
             c
@@ -629,27 +591,18 @@ def component_by_component(
         host_v = phi[t_prefix]
         if comp & inst.F_plus:
             allowed = G.out_rows[host_v] & inst.Y & ~occupied
-            context = "two-set F⁺ component"
+            where = "two-set: F⁺ component"
         else:
             allowed = G.in_rows[host_v] & inst.Z & ~occupied
-            context = "two-set F⁻ component"
-        sub_tree, old = _extract_subtree(T, comp)
-        got = _embed_component(sub_tree, G, allowed, context=context, stats=stats)
-        if got is None:
-            raise GraphDefectError(
-                "two-set: component placement failed on a validated instance "
-                "(γ/α probably leave too little room at this scale)"
-            )
-        occupied |= _merge(phi, got, old, host_ids)
+            where = "two-set: F⁻ component"
+        occupied |= _place(phi, T, comp, G, allowed, where)
         prefix |= comp
     if not is_valid_embedding(T, G, phi):
         raise GraphDefectError("two-set produced an invalid embedding")
     return phi
 
 
-def dual_component_by_component(
-    inst: TwoSetInstance, *, stats: list[str] | None = None
-) -> dict[int, int]:
+def dual_component_by_component(inst: TwoSetInstance) -> dict[int, int]:
     """Mirrored reading of :func:`component_by_component`.
 
     Here ``seed`` embeds the largest component of ``F⁻`` into ``G[Z]``
@@ -671,7 +624,7 @@ def dual_component_by_component(
         alpha=inst.alpha,
         seed=inst.seed,
     )
-    return component_by_component(rev, stats=stats)
+    return component_by_component(rev)
 
 
 # ---------------------------------------------------------------------------
@@ -757,40 +710,44 @@ def almost_regular_subtournament(
 # ---------------------------------------------------------------------------
 # Star-shaped strategy
 
+def _extend_from_root(
+    T: DirectedTree, mask: int, t: int, G: Tournament, region: int, v: int
+) -> dict[int, int]:
+    """Embed T[mask] into G[region] with t on v, by variant-c extension.
+
+    Relabels the subtree and the region, seeds t on v, extends one by one
+    and maps the result back to the ids of T and G.  Raises
+    :class:`HypothesisViolation` when the extension's hypotheses fail.
+    """
+    host, old_hosts = induced_subtournament(G, region)
+    sub, old = _extract_subtree(T, mask)
+    t_new, v_new = old.index(t), old_hosts.index(v)
+    got = extend_one_by_one(
+        OneByOneInstance(
+            T=sub,
+            T_c=1 << t_new,
+            seed={t_new: v_new},
+            G=host,
+            S=1 << v_new,
+            N=full_mask(host.n) & ~(1 << v_new),
+            variant="c",
+        )
+    )
+    return {old[i]: old_hosts[h] for i, h in got.items()}
+
+
 def _star_phase_one(
-    T: DirectedTree,
-    G: Tournament,
-    t: int,
-    v: int,
-    t1_mask: int,
-    t2_mask: int,
-    stats: list[str] | None,
+    T: DirectedTree, G: Tournament, t: int, v: int, t1_mask: int, t2_mask: int
 ) -> dict[int, int] | None:
     """Embed t at v, out-branches in N⁺(v), in-branches in N⁻(v)."""
     phi: dict[int, int] = {t: v}
     for mask, row in ((t1_mask, G.out_rows[v]), (t2_mask, G.in_rows[v])):
         if mask == 1 << t:
             continue
-        region = row | (1 << v)
-        host, old_hosts = induced_subtournament(G, region)
-        host_index = {g: i for i, g in enumerate(old_hosts)}
-        sub, old = _extract_subtree(T, mask)
-        t_new = old.index(t)
-        inst = OneByOneInstance(
-            T=sub,
-            T_c=1 << t_new,
-            seed={t_new: host_index[v]},
-            G=host,
-            S=1 << host_index[v],
-            N=full_mask(host.n) & ~(1 << host_index[v]),
-            variant="c",
-        )
         try:
-            got = extend_one_by_one(inst, stats=stats)
+            phi.update(_extend_from_root(T, mask, t, G, row | (1 << v), v))
         except HypothesisViolation:
             return None
-        for new_id, h in got.items():
-            phi[old[new_id]] = old_hosts[h]
     return phi
 
 
@@ -803,7 +760,6 @@ def _star_branch_wide(
     t1_mask: int,
     t2_mask: int,
     notes: list[str],
-    stats: list[str] | None,
 ) -> dict[int, int] | None:
     """Root the out-side inside Y via round-the-back, then add the in-side."""
     cand = next(
@@ -823,36 +779,19 @@ def _star_branch_wide(
         T=sub1, t=old1.index(t), G=host, v=v_new, N=n_prime_new, X=x_new
     )
     try:
-        got1 = round_the_back(inst, stats=stats)
+        got1 = round_the_back(inst)
     except HypothesisViolation as exc:
         notes.append(f"wide branch: {exc}")
         return None
     phi: dict[int, int] = {old1[i]: old_hosts[h] for i, h in got1.items()}
     if t2_mask == 1 << t:
         return phi
-    occupied = mask_of(phi.values())
-    region = (full_mask(G.n) & ~occupied) | (1 << phi[t])
-    host2, old_hosts2 = induced_subtournament(G, region)
-    host2_index = {g: i for i, g in enumerate(old_hosts2)}
-    sub2, old2 = _extract_subtree(T, t2_mask)
-    t_new = old2.index(t)
-    v2 = host2_index[phi[t]]
-    inst2 = OneByOneInstance(
-        T=sub2,
-        T_c=1 << t_new,
-        seed={t_new: v2},
-        G=host2,
-        S=1 << v2,
-        N=full_mask(host2.n) & ~(1 << v2),
-        variant="c",
-    )
+    region = (full_mask(G.n) & ~mask_of(phi.values())) | (1 << phi[t])
     try:
-        got2 = extend_one_by_one(inst2, stats=stats)
+        phi.update(_extend_from_root(T, t2_mask, t, G, region, phi[t]))
     except HypothesisViolation as exc:
         notes.append(f"wide branch, in-side: {exc}")
         return None
-    for new_id, h in got2.items():
-        phi[old2[new_id]] = old_hosts2[h]
     return phi
 
 
@@ -862,7 +801,6 @@ def _star_branch_narrow(
     t: int,
     Y: int,
     notes: list[str],
-    stats: list[str] | None,
 ) -> dict[int, int] | None:
     """Plant the out-reachable subtree in G[Y], then extend one by one."""
     t3_mask = 1 << t
@@ -889,31 +827,26 @@ def _star_branch_narrow(
     if t3_mask == full_mask(T.n):
         return phi
     image = mask_of(phi.values())
-    seed = {old3[i]: old_hosts[h] for i, h in out3.embedding.items()}
     inst = OneByOneInstance(
         T=T,
         T_c=t3_mask,
-        seed=seed,
+        seed=phi,
         G=G,
         S=image,
         N=full_mask(G.n) & ~image,
         variant="c",
     )
     try:
-        return extend_one_by_one(inst, stats=stats)
+        return extend_one_by_one(inst)
     except HypothesisViolation as exc:
         notes.append(f"narrow branch: {exc}")
         return None
 
 
-def embed_star_shaped(
-    T: DirectedTree,
-    G: Tournament,
-    delta: int,
-    *,
-    alpha: Fraction | int | float | str = Fraction(1, 4),
-    stats: list[str] | None = None,
-) -> EmbedOutcome:
+STAR_WIDE_ALPHA = Fraction(1, 4)
+
+
+def embed_star_shaped(T: DirectedTree, G: Tournament, delta: int) -> EmbedOutcome:
     """Embedding strategy for trees whose weight core is one vertex.
 
     Phase one scans for a host vertex ``v`` with out-degree at least
@@ -923,7 +856,8 @@ def embed_star_shaped(
     Phase two splits the host into the low-out-degree class ``Y`` and its
     complement, reverses everything if needed so ``|Y| >= 2y`` with
     ``y >= 1``, then either roots the out-side inside ``Y`` via
-    round-the-back (wide branch, preferred when ``y >= α·n``) or plants
+    round-the-back (wide branch, preferred when ``y >= α·n`` with
+    ``α = STAR_WIDE_ALPHA = 1/4``) or plants
     the out-reachable subtree with the outbranching embedder and extends
     one by one (narrow branch).  Strategy failure — some hypothesis
     refusing to validate at this scale — returns BudgetExhausted; every
@@ -938,7 +872,6 @@ def embed_star_shaped(
         raise ValueError(
             f"host has {G.n} vertices; needs at least 2|T|-2 = {2 * T.n - 2}"
         )
-    a = as_fraction(alpha)
     notes: list[str] = []
     n = T.n
     slack = Fraction(2 * n, delta)
@@ -966,7 +899,7 @@ def embed_star_shaped(
                 if (y == 0 or G_op.out_deg(v) >= y + slack) and (
                     z == 0 or G_op.in_deg(v) >= z + slack
                 ):
-                    phi = _star_phase_one(T_op, G_op, t, v, t1_mask, t2_mask, stats)
+                    phi = _star_phase_one(T_op, G_op, t, v, t1_mask, t2_mask)
                     if phi is not None:
                         return finish(phi, f"phase one at host vertex {v}")
             notes.append("phase one: no host vertex meets both degree bounds")
@@ -979,14 +912,12 @@ def embed_star_shaped(
                 f"{tag}: degree-class split unusable (y={y}, |Y|={Y.bit_count()})"
             )
             continue
-        branches = ["wide", "narrow"] if y >= a * n else ["narrow", "wide"]
+        branches = ["wide", "narrow"] if y >= STAR_WIDE_ALPHA * n else ["narrow", "wide"]
         for branch in branches:
             if branch == "wide":
-                phi = _star_branch_wide(
-                    T_op, G_op, t, y, Y, t1_mask, t2_mask, notes, stats
-                )
+                phi = _star_branch_wide(T_op, G_op, t, y, Y, t1_mask, t2_mask, notes)
             else:
-                phi = _star_branch_narrow(T_op, G_op, t, Y, notes, stats)
+                phi = _star_branch_narrow(T_op, G_op, t, Y, notes)
             if phi is not None:
                 return finish(phi, f"{tag} {branch} branch")
     return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "star_shaped", tuple(notes))

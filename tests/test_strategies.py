@@ -45,6 +45,11 @@ from treetour.generate import (
     transitive_tournament,
 )
 from treetour.graphs import full_mask, mask_of
+from treetour.instances import (
+    random_one_by_one_instance,
+    random_round_the_back_instance,
+    random_two_set_instance,
+)
 from treetour import search, strategies
 from treetour.strategies import (
     almost_regular_subtournament,
@@ -266,6 +271,30 @@ def test_two_set_names_violated_hypotheses():
     assert "(cross-direction)" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "run, where",
+    [
+        (lambda: round_the_back(random_round_the_back_instance(1)), "round-the-back: X-side"),
+        (lambda: extend_one_by_one(random_one_by_one_instance(0, "a")), "one-by-one:"),
+        (lambda: component_by_component(random_two_set_instance(0)), "two-set:"),
+    ],
+)
+def test_failed_placement_on_a_validated_instance_is_a_defect(monkeypatch, run, where):
+    # a validated instance always leaves room, so a component that neither
+    # greedy nor the complete search can place is a bug, named by procedure
+    def budget_exhausted(T, G, constraints=None):
+        return search.EmbedOutcome(search.BUDGET_EXHAUSTED, None, 0, "greedy")
+
+    def not_found(T, G, constraints=None):
+        return search.EmbedOutcome(search.NOT_FOUND, None, 0, "exhaustive")
+
+    monkeypatch.setattr(strategies, "greedy_embed", budget_exhausted)
+    monkeypatch.setattr(strategies, "exhaustive_embed", not_found)
+    with pytest.raises(GraphDefectError, match="placement failed on a validated instance") as err:
+        run()
+    assert str(err.value).startswith(where)
+
+
 # ---------------------------------------------------------------------------
 # Almost-regular subtournaments
 
@@ -303,6 +332,41 @@ def test_inward_star_embeds_in_transitive_host():
     out = embed_star_shaped(T, G, 4)
     assert out.found
     assert is_valid_embedding(T, G, out.embedding)
+    assert out.notes == ("phase one at host vertex 7",)
+
+
+@pytest.mark.parametrize(
+    "seed, notes",
+    [
+        (
+            3,
+            (
+                "phase one: no host vertex meets both degree bounds",
+                "wide branch: (X-capacity): only 0 vertices of N have 6d = 12 "
+                "in- and out-neighbours in X; need 3d = 6",
+                "forward narrow branch",
+            ),
+        ),
+        (
+            5,
+            (
+                "phase one: no host vertex meets both degree bounds",
+                "forward: degree-class split unusable (y=0, |Y|=5)",
+                "wide branch: (X-capacity): only 0 vertices of N have 6d = 12 "
+                "in- and out-neighbours in X; need 3d = 6",
+                "reversed narrow branch",
+            ),
+        ),
+    ],
+)
+def test_star_shaped_phase_two_embeds_through_the_narrow_branch(seed, notes):
+    T = random_oriented_tree(5, seed)
+    G = transitive_tournament(8)
+    assert core_tree(T, 2).size == 1
+    out = embed_star_shaped(T, G, 2)
+    assert out.found
+    assert is_valid_embedding(T, G, out.embedding)
+    assert out.notes == notes
 
 
 def test_star_shaped_requires_singleton_core():
