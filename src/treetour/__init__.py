@@ -36,7 +36,6 @@ from .graphs import (
     DirectedTree,
     GraphDefectError,
     HypothesisViolation,
-    InfeasiblePinning,
     ParseError,
     PartialMapError,
     Tournament,
@@ -45,7 +44,6 @@ from .graphs import (
     degrees,
     density,
     directed_edge_count,
-    induced_subtournament,
     is_valid_embedding,
     restricted_neighbourhood,
 )
@@ -61,7 +59,6 @@ from .weights import (
 )
 from .search import (
     EmbedOutcome,
-    SearchConstraints,
     embed_outbranching,
     exhaustive_embed,
     forward_arc_count,
@@ -132,7 +129,6 @@ __all__ = [
     "DirectedTree",
     "GraphDefectError",
     "HypothesisViolation",
-    "InfeasiblePinning",
     "ParseError",
     "PartialMapError",
     "Tournament",
@@ -141,7 +137,6 @@ __all__ = [
     "degrees",
     "density",
     "directed_edge_count",
-    "induced_subtournament",
     "is_valid_embedding",
     "restricted_neighbourhood",
     # formats
@@ -159,7 +154,6 @@ __all__ = [
     "weight_profile",
     # search
     "EmbedOutcome",
-    "SearchConstraints",
     "embed_outbranching",
     "exhaustive_embed",
     "forward_arc_count",

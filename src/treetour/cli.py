@@ -62,6 +62,7 @@ from .reports import (
     verify_sharpness,
     verify_sumner,
 )
+from .search import DEFAULT_NODE_BUDGET
 from .strategies import portfolio_embed
 from .weights import core_tree
 
@@ -358,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--tournament", required=True)
     p.add_argument(
-        "--budget", type=int, default=int(_env("budget", 10_000_000)),
+        "--budget", type=int, default=int(_env("budget", DEFAULT_NODE_BUDGET)),
         help="search node budget (default 10^7)",
     )
     _add_out(p)

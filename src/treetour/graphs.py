@@ -31,10 +31,6 @@ class PartialMapError(ValueError):
     """An embedding check was handed a map that is not total on the tree."""
 
 
-class InfeasiblePinning(ValueError):
-    """Search constraints pin vertices in a way no embedding can satisfy."""
-
-
 class HypothesisViolation(ValueError):
     """An instance handed to a structured strategy fails a stated hypothesis.
 
@@ -88,6 +84,22 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
 def bit_list(mask: int) -> list[int]:
     """The vertices of a bitmask as an ascending list."""
     return list(bits(mask))
+
+
+def lsb(mask: int) -> int:
+    """The smallest vertex of a bitmask (-1 for the empty set)."""
+    return (mask & -mask).bit_length() - 1
+
+
+def first_bits(mask: int, k: int) -> int:
+    """The k lowest set bits of mask (all of them if fewer than k)."""
+    out = 0
+    while k > 0 and mask:
+        low = mask & -mask
+        out |= low
+        mask ^= low
+        k -= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +429,6 @@ def restricted_neighbourhood(G: Tournament, v: int, subset: int, direction: str)
     if direction == "in":
         return G.in_rows[v] & subset
     raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-
-
-def induced_subtournament(G: Tournament, subset: int) -> tuple[Tournament, list[int]]:
-    return G.induced(subset)
 
 
 def directed_edge_count(G: Tournament, source: int, target: int) -> int:

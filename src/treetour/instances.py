@@ -15,10 +15,21 @@ module constants below.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .generate import Xoshiro256StarStar, random_oriented_tree, stream
-from .graphs import DirectedTree, Tournament, as_fraction, bit_list, bits, full_mask, mask_of
+from .graphs import (
+    DirectedTree,
+    Tournament,
+    as_fraction,
+    bit_list,
+    bits,
+    first_bits,
+    full_mask,
+    lsb,
+    mask_of,
+)
 from .strategies import OneByOneInstance, RoundTheBackInstance, TwoSetInstance
 from .weights import tree_components
 
@@ -146,27 +157,14 @@ def break_round_the_back(
     if which == "(root)":
         u, v = next((a, b) for a, b in inst.T.arcs if a == inst.t)
         arcs = [(b, a) if (a, b) == (u, v) else (a, b) for a, b in inst.T.arcs]
-        return RoundTheBackInstance(
-            T=DirectedTree(inst.T.n, arcs), t=inst.t, G=inst.G, v=inst.v,
-            N=inst.N, X=inst.X,
-        )
+        return replace(inst, T=DirectedTree(inst.T.n, arcs))
     if which == "(N-size)":
         needed = inst.N.bit_count() - (inst.T.n - 1) + 1
-        moved, rest = 0, inst.N
-        for _ in range(max(needed, 1)):
-            low = rest & -rest
-            moved |= low
-            rest ^= low
-        return RoundTheBackInstance(
-            T=inst.T, t=inst.t, G=inst.G, v=inst.v,
-            N=inst.N & ~moved, X=inst.X | moved,
-        )
+        moved = first_bits(inst.N, max(needed, 1))
+        return replace(inst, N=inst.N & ~moved, X=inst.X | moved)
     if which == "(N-out)":
-        u = (inst.N & -inst.N).bit_length() - 1
-        return RoundTheBackInstance(
-            T=inst.T, t=inst.t, G=flip_arcs(inst.G, [(inst.v, u)]), v=inst.v,
-            N=inst.N, X=inst.X,
-        )
+        u = lsb(inst.N)
+        return replace(inst, G=flip_arcs(inst.G, [(inst.v, u)]))
     if which == "(X-capacity)":
         d = max(
             (c.bit_count() for c in tree_components(inst.T, full_mask(inst.T.n) & ~(1 << inst.t))),
@@ -185,10 +183,7 @@ def break_round_the_back(
             out_x = bit_list(G.out_rows[u] & inst.X)
             excess = len(out_x) - 6 * d + 1
             flips.extend((u, x) for x in out_x[:excess])
-        return RoundTheBackInstance(
-            T=inst.T, t=inst.t, G=flip_arcs(G, flips), v=inst.v,
-            N=inst.N, X=inst.X,
-        )
+        return replace(inst, G=flip_arcs(G, flips))
     raise ValueError(f"unknown hypothesis {which!r}")
 
 
@@ -295,12 +290,6 @@ def break_one_by_one(inst: OneByOneInstance, which: str) -> OneByOneInstance:
         default=0,
     )
 
-    def rebuilt(G2: Tournament) -> OneByOneInstance:
-        return OneByOneInstance(
-            T=inst.T, T_c=inst.T_c, seed=inst.seed, G=G2, S=inst.S, N=inst.N,
-            variant=inst.variant, N_prime=inst.N_prime, r=inst.r,
-        )
-
     v = next(bits(inst.S))
     if which in ("(i)", "(ii)", "(iii)", "(iv)"):
         region = inst.N if which in ("(i)", "(ii)") else (inst.N_prime or inst.N)
@@ -311,7 +300,7 @@ def break_one_by_one(inst: OneByOneInstance, which: str) -> OneByOneInstance:
         excess = len(have) - bound + 1
         if excess <= 0:
             raise ValueError(f"cannot break {which}: no slack")
-        return rebuilt(flip_arcs(G, [(v, u) for u in have[:excess]]))
+        return replace(inst, G=flip_arcs(G, [(v, u) for u in have[:excess]]))
     if which == "(direction)":
         comp_arcs = [
             (a, b)
@@ -325,19 +314,12 @@ def break_one_by_one(inst: OneByOneInstance, which: str) -> OneByOneInstance:
             )
         a, b = comp_arcs[0]
         arcs = [(y, x) if (x, y) == (a, b) else (x, y) for x, y in inst.T.arcs]
-        return OneByOneInstance(
-            T=DirectedTree(inst.T.n, arcs), T_c=inst.T_c, seed=inst.seed, G=G,
-            S=inst.S, N=inst.N, variant=inst.variant, N_prime=inst.N_prime,
-            r=inst.r,
-        )
+        return replace(inst, T=DirectedTree(inst.T.n, arcs))
     if which == "(seed)":
         bad = dict(inst.seed)
         k = next(iter(bad))
         bad[k] = next(bits(inst.N))
-        return OneByOneInstance(
-            T=inst.T, T_c=inst.T_c, seed=bad, G=G, S=inst.S, N=inst.N,
-            variant=inst.variant, N_prime=inst.N_prime, r=inst.r,
-        )
+        return replace(inst, seed=bad)
     raise ValueError(f"unknown hypothesis {which!r}")
 
 
@@ -438,15 +420,6 @@ def random_two_set_instance(seed: int) -> TwoSetInstance:
 
 def break_two_set(inst: TwoSetInstance, which: str) -> TwoSetInstance:
     """Damage exactly the named hypothesis of a valid instance."""
-    def rebuilt(**kw) -> TwoSetInstance:
-        base = dict(
-            T=inst.T, F_minus=inst.F_minus, F_plus=inst.F_plus, G=inst.G,
-            Y=inst.Y, Z=inst.Z, gamma=inst.gamma, alpha=inst.alpha,
-            seed=inst.seed,
-        )
-        base.update(kw)
-        return TwoSetInstance(**base)
-
     if which == "(cross-direction)":
         a, b = next(
             (a, b)
@@ -454,29 +427,17 @@ def break_two_set(inst: TwoSetInstance, which: str) -> TwoSetInstance:
             if ((inst.F_minus >> a) & 1) and ((inst.F_plus >> b) & 1)
         )
         arcs = [(y, x) if (x, y) == (a, b) else (x, y) for x, y in inst.T.arcs]
-        return rebuilt(T=DirectedTree(inst.T.n, arcs))
+        return replace(inst, T=DirectedTree(inst.T.n, arcs))
     if which == "(Y-size)":
         seed_images = mask_of(inst.seed.values())
         movable = inst.Y & ~seed_images
         needed = inst.Y.bit_count() - _min_y(inst) + 1
-        moved = 0
-        m = movable
-        for _ in range(max(needed, 1)):
-            if not m:
-                break
-            low = m & -m
-            moved |= low
-            m ^= low
-        return rebuilt(Y=inst.Y & ~moved, Z=inst.Z | moved)
+        moved = first_bits(movable, max(needed, 1))
+        return replace(inst, Y=inst.Y & ~moved, Z=inst.Z | moved)
     if which == "(Z-size)":
         needed = inst.Z.bit_count() - _min_z(inst) + 1
-        moved = 0
-        m = inst.Z
-        for _ in range(max(needed, 1)):
-            low = m & -m
-            moved |= low
-            m ^= low
-        return rebuilt(Z=inst.Z & ~moved, Y=inst.Y | moved)
+        moved = first_bits(inst.Z, max(needed, 1))
+        return replace(inst, Z=inst.Z & ~moved, Y=inst.Y | moved)
     if which == "(Y-out-gamma)":
         g = as_fraction(inst.gamma)
         cap_frac = g * inst.T.n
@@ -484,7 +445,7 @@ def break_two_set(inst: TwoSetInstance, which: str) -> TwoSetInstance:
         y = max(bits(inst.Y))
         zs = bit_list(inst.Z)[: cap + 1]
         flips = [(y, z) for z in zs if not inst.G.has_arc(y, z)]
-        return rebuilt(G=flip_arcs(inst.G, flips))
+        return replace(inst, G=flip_arcs(inst.G, flips))
     if which == "(Z-in-gamma)":
         g = as_fraction(inst.gamma)
         cap_frac = g * inst.T.n
@@ -506,12 +467,12 @@ def break_two_set(inst: TwoSetInstance, which: str) -> TwoSetInstance:
                 "target would trip a Y vertex's own out-cap first"
             )
         flips = [(z, y) for y in ys]
-        return rebuilt(G=flip_arcs(inst.G, flips))
+        return replace(inst, G=flip_arcs(inst.G, flips))
     if which == "(seed)":
         bad = dict(inst.seed)
         k = next(iter(bad))
         bad[k] = next(bits(inst.Z))
-        return rebuilt(seed=bad)
+        return replace(inst, seed=bad)
     raise ValueError(f"unknown hypothesis {which!r}")
 
 

@@ -1,7 +1,8 @@
 """Base embedding procedures.
 
-- :func:`exhaustive_embed`: complete backtracking search; its NotFound is a
-  non-existence certificate (used to certify sharpness constructions).
+- :func:`exhaustive_embed`: complete backtracking search inside a host
+  region, within a node budget; its NotFound is a non-existence
+  certificate (used to certify sharpness constructions).
 - :func:`redei_path`: Hamiltonian directed path by first-beat insertion;
   a vertex that beats no placed vertex (one mask test) is appended
   without a scan.
@@ -13,8 +14,12 @@
 - :func:`embed_outbranching`: median-order-guided greedy embedding of
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
-- :func:`greedy_embed`: fast incomplete first attempt used by the
-  structured strategies before calling the oracle.
+- :func:`greedy_embed`: fast incomplete first attempt inside a host
+  region, used by the structured strategies before the complete search.
+
+The two searches take one constraint, ``region``: a host bitmask that
+holds every image (default: all of G).  The strategies place each tree
+component inside such a region.
 
 All searches are deterministic: tree vertices are processed in BFS order
 from the tree's 2-core vertex (the centroid), candidate images ascending.
@@ -23,14 +28,12 @@ from the tree's 2-core vertex (the centroid), candidate images ascending.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping
 
 from .graphs import (
     DirectedTree,
     GraphDefectError,
-    InfeasiblePinning,
     Tournament,
     bits,
     full_mask,
@@ -43,21 +46,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 FOUND = "found"
 NOT_FOUND = "not_found"
 BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-@dataclass(frozen=True)
-class SearchConstraints:
-    """Restrictions on an embedding search.
-
-    ``pinned`` fixes images of tree vertices; ``allowed`` optionally caps
-    the candidate set per tree vertex; ``forbidden`` is a bitmask of host
-    vertices no image may use; ``node_budget`` caps search nodes.
-    """
-
-    pinned: Mapping[int, int] = field(default_factory=dict)
-    allowed: Mapping[int, int] = field(default_factory=dict)
-    forbidden: int = 0
-    node_budget: int = DEFAULT_NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -80,30 +68,14 @@ class EmbedOutcome:
         return self.verdict == FOUND
 
 
-def _validate_constraints(T: DirectedTree, G: Tournament, c: SearchConstraints) -> None:
+def _region_mask(G: Tournament, region: int | None) -> int:
+    """The host region as a mask; None means all of G."""
     everything = full_mask(G.n)
-    for u, g in c.pinned.items():
-        if not (0 <= u < T.n):
-            raise ValueError(f"pinned tree vertex {u} out of range")
-        if not (0 <= g < G.n):
-            raise ValueError(f"pinned image {g} out of range")
-        if (c.forbidden >> g) & 1:
-            raise InfeasiblePinning(f"tree vertex {u} pinned to forbidden host vertex {g}")
-        if u in c.allowed and not ((c.allowed[u] >> g) & 1):
-            raise InfeasiblePinning(f"tree vertex {u} pinned outside its allowed set")
-    images = list(c.pinned.values())
-    if len(set(images)) != len(images):
-        raise InfeasiblePinning("two tree vertices pinned to the same host vertex")
-    for u, v in T.arcs:
-        if u in c.pinned and v in c.pinned and not G.has_arc(c.pinned[u], c.pinned[v]):
-            raise InfeasiblePinning(
-                f"pinned pair {u}->{v} maps to non-arc {c.pinned[u]}->{c.pinned[v]}"
-            )
-    for u, m in c.allowed.items():
-        if not (0 <= u < T.n):
-            raise ValueError(f"allowed-set tree vertex {u} out of range")
-        if m & ~everything:
-            raise ValueError(f"allowed set of {u} contains out-of-range host ids")
+    if region is None:
+        return everything
+    if region < 0 or region & ~everything:
+        raise ValueError(f"region {region:#x} is not a set of {G.n} host vertices")
+    return region
 
 
 def _search_plan(
@@ -138,12 +110,12 @@ def _search_plan(
 
 def _candidate_mask(
     G: Tournament,
-    base_allowed: int,
+    region: int,
     used: int,
     parent_dir: str,
     parent_image: int,
 ) -> int:
-    m = base_allowed & ~used
+    m = region & ~used
     if parent_dir == "out":
         m &= G.out_rows[parent_image]
     elif parent_dir == "in":
@@ -152,29 +124,27 @@ def _candidate_mask(
 
 
 def exhaustive_embed(
-    T: DirectedTree, G: Tournament, c: SearchConstraints | None = None
+    T: DirectedTree,
+    G: Tournament,
+    *,
+    region: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> EmbedOutcome:
-    """Complete backtracking search for an embedding of T into G under c.
+    """Complete backtracking search for an embedding of T into G[region].
 
-    Found outcomes are valid and respect the constraints; NotFound means
-    no embedding satisfying the constraints exists; BudgetExhausted means
-    the node budget tripped before the search space was exhausted.
+    ``region`` is a host bitmask (default: all of G) holding every image;
+    the degree look-ahead still counts unused vertices of the whole host.
+    Found outcomes are valid and inside the region; NotFound means no
+    embedding into the region exists; BudgetExhausted means the search
+    took more than ``node_budget`` nodes.  A region with host ids outside
+    ``0 .. G.n-1`` raises ValueError.
     """
-    c = c or SearchConstraints()
-    _validate_constraints(T, G, c)
+    region = _region_mask(G, region)
     order, parents, out_need, in_need = _search_plan(T)
-    base = full_mask(G.n) & ~c.forbidden
-    base_allowed = []
-    for v in order:
-        m = base & c.allowed.get(v, full_mask(G.n))
-        if v in c.pinned:
-            m &= 1 << c.pinned[v]
-        base_allowed.append(m)
-    if T.n > base.bit_count():
+    if T.n > region.bit_count():
         return EmbedOutcome(NOT_FOUND, None, 0, "exhaustive", ("too few available vertices",))
 
     n_t = T.n
-    budget = c.node_budget
     nodes = 0
     images = [0] * n_t
     used = 0
@@ -182,16 +152,16 @@ def exhaustive_embed(
     out_rows, in_rows = G.out_rows, G.in_rows
 
     level = 0
-    cand[0] = base_allowed[0]
+    cand[0] = region
     while True:
         if cand[level]:
             low = cand[level] & -cand[level]
             cand[level] ^= low
             g = low.bit_length() - 1
             nodes += 1
-            if nodes > budget:
+            if nodes > node_budget:
                 return EmbedOutcome(BUDGET_EXHAUSTED, None, nodes, "exhaustive")
-            free = base & ~used & ~low
+            free = ~(used | low)
             u = order[level]
             if (out_rows[g] & free).bit_count() < out_need[u]:
                 continue
@@ -206,9 +176,7 @@ def exhaustive_embed(
             used |= low
             level += 1
             ppos, pdir = parents[level]
-            cand[level] = _candidate_mask(
-                G, base_allowed[level], used, pdir, images[ppos]
-            )
+            cand[level] = _candidate_mask(G, region, used, pdir, images[ppos])
         else:
             if level == 0:
                 return EmbedOutcome(NOT_FOUND, None, nodes, "exhaustive")
@@ -217,34 +185,29 @@ def exhaustive_embed(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def greedy_embed(
-    T: DirectedTree, G: Tournament, c: SearchConstraints | None = None
-) -> EmbedOutcome:
-    """One greedy pass, no backtracking; incomplete by design.
+def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -> EmbedOutcome:
+    """One greedy pass into G[region], no backtracking; incomplete by design.
 
+    ``region`` is a host bitmask (default: all of G) holding every image.
     Each tree vertex takes the admissible image maximizing the smaller of
-    its residual out/in neighbourhood sizes (ties to the smallest id).
-    Returns Found or BudgetExhausted, never NotFound.
+    its residual out/in neighbourhood sizes over the whole host (ties to
+    the smallest id).  Returns Found or BudgetExhausted, never NotFound.
+    A region with host ids outside ``0 .. G.n-1`` raises ValueError.
     """
-    c = c or SearchConstraints()
-    _validate_constraints(T, G, c)
+    region = _region_mask(G, region)
     order, parents, out_need, in_need = _search_plan(T)
-    base = full_mask(G.n) & ~c.forbidden
-    if T.n > base.bit_count():
+    if T.n > region.bit_count():
         return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "greedy", ("too few available vertices",))
     images: list[int] = []
     used = 0
     nodes = 0
     for level, u in enumerate(order):
-        m = base & c.allowed.get(u, full_mask(G.n))
-        if u in c.pinned:
-            m &= 1 << c.pinned[u]
         ppos, pdir = parents[level]
-        m = _candidate_mask(G, m, used, pdir, images[ppos] if level else 0)
+        m = _candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
         best_g = -1
         best_score = -1
         for g in bits(m):
-            free = base & ~used & ~(1 << g)
+            free = ~(used | (1 << g))
             ro = (G.out_rows[g] & free).bit_count()
             ri = (G.in_rows[g] & free).bit_count()
             if ro < out_need[u] or ri < in_need[u]:

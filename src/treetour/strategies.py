@@ -57,9 +57,10 @@ from .graphs import (
     as_fraction,
     bit_list,
     bits,
+    first_bits,
     full_mask,
-    induced_subtournament,
     is_valid_embedding,
+    lsb,
     mask_of,
 )
 from .search import (
@@ -68,7 +69,6 @@ from .search import (
     FOUND,
     NOT_FOUND,
     EmbedOutcome,
-    SearchConstraints,
     embed_outbranching,
     exhaustive_embed,
     greedy_embed,
@@ -95,24 +95,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Small helpers
 
-def _lsb(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _first_bits(mask: int, k: int) -> int:
-    """The k lowest set bits of mask (all of them if fewer than k)."""
-    out = 0
-    while k > 0 and mask:
-        low = mask & -mask
-        out |= low
-        mask ^= low
-        k -= 1
-    return out
-
-
 def _by_size(comps: list[int]) -> list[int]:
     """Component masks by decreasing size, then smallest member."""
-    return sorted(comps, key=lambda c: (-c.bit_count(), _lsb(c)))
+    return sorted(comps, key=lambda c: (-c.bit_count(), lsb(c)))
 
 
 def _extract_subtree(T: DirectedTree, mask: int) -> tuple[DirectedTree, list[int]]:
@@ -135,21 +120,19 @@ def _place(
     allowed: int,
     where: str,
 ) -> int:
-    """Place the component T[comp] inside ``allowed``; greedy then complete.
+    """Place the component T[comp] inside the host region ``allowed``.
 
-    The placement is merged into ``phi`` and the host mask it uses is
-    returned.  A validated instance leaves room for every component, so a
-    placement the complete search cannot make raises
+    Greedy search runs first and the complete search second, both with
+    ``region=allowed``.  The placement is merged into ``phi`` and the host
+    mask it uses is returned.  A validated instance leaves room for every
+    component, so a placement the complete search cannot make raises
     :class:`GraphDefectError` naming ``where`` (procedure and side).
     """
     sub, old = _extract_subtree(T, comp)
-    outcome = None
-    if allowed.bit_count() >= sub.n:
-        constraints = SearchConstraints(allowed={u: allowed for u in range(sub.n)})
-        outcome = greedy_embed(sub, G, constraints)
-        if not outcome.found:
-            outcome = exhaustive_embed(sub, G, constraints)
-    if outcome is None or not outcome.found:
+    outcome = greedy_embed(sub, G, region=allowed)
+    if not outcome.found:
+        outcome = exhaustive_embed(sub, G, region=allowed)
+    if not outcome.found:
         raise GraphDefectError(f"{where} placement failed on a validated instance")
     assert outcome.embedding is not None
     for i, h in outcome.embedding.items():
@@ -207,7 +190,7 @@ def _validate_round_the_back(inst: RoundTheBackInstance) -> tuple[int, int]:
             f"(N-size): |N| = {inst.N.bit_count()} < |T| - 1 = {T.n - 1}"
         )
     if inst.N & ~G.out_rows[inst.v]:
-        bad = _lsb(inst.N & ~G.out_rows[inst.v])
+        bad = lsb(inst.N & ~G.out_rows[inst.v])
         raise HypothesisViolation(
             f"(N-out): vertex {bad} of N is not an out-neighbour of v"
         )
@@ -244,7 +227,7 @@ def round_the_back(inst: RoundTheBackInstance) -> dict[int, int]:
     occupied = 1 << inst.v
     branches = sorted(
         hanging_components(T, 1 << inst.t),
-        key=lambda h: (-h.comp.bit_count(), _lsb(h.comp)),
+        key=lambda h: (-h.comp.bit_count(), lsb(h.comp)),
     )
     for comp, _t, t_i, direction in branches:
         if direction != "out":
@@ -253,7 +236,7 @@ def round_the_back(inst: RoundTheBackInstance) -> dict[int, int]:
         x_occupied = (occupied & inst.X).bit_count()
         free_qual = qual & ~occupied
         if x_occupied < 3 * d and free_qual:
-            v_i = _lsb(free_qual)
+            v_i = lsb(free_qual)
             phi[t_i] = v_i
             occupied |= 1 << v_i
             sub_pieces = sorted(
@@ -277,7 +260,7 @@ def round_the_back(inst: RoundTheBackInstance) -> dict[int, int]:
             free_n = inst.N & ~occupied
             if not free_n:
                 raise GraphDefectError("round-the-back: N exhausted prematurely")
-            phi[t_i] = _lsb(free_n)
+            phi[t_i] = lsb(free_n)
             occupied |= free_n & -free_n
         else:
             occupied |= _place(
@@ -450,7 +433,7 @@ def extend_one_by_one(inst: OneByOneInstance) -> dict[int, int]:
         else:
             k = r - occ_prime
             outside = row & (inst.N & ~n_prime) & ~occupied
-            allowed = (prime_side & ~occupied) | _first_bits(outside, size - k)
+            allowed = (prime_side & ~occupied) | first_bits(outside, size - k)
         used = _place(phi, T, comp, G, allowed, "one-by-one: component")
         occupied |= used
         landed_new |= used
@@ -576,7 +559,7 @@ def component_by_component(inst: TwoSetInstance) -> dict[int, int]:
         ]
         if not adjacent:
             raise GraphDefectError("two-set: disconnected component order")
-        comp = min(adjacent, key=_lsb)
+        comp = min(adjacent, key=lsb)
         remaining.remove(comp)
         links = [
             (u, v)
@@ -698,7 +681,7 @@ def almost_regular_subtournament(
             f"almost-regular extraction kept {keep.bit_count()} < (1-γ)n = "
             f"{(1 - g) * n} vertices; α/γ outside the supported regime"
         )
-    sub, _ = induced_subtournament(G, keep)
+    sub, _ = G.induced(keep)
     if not is_almost_regular(sub, g):
         raise GraphDefectError(
             "almost-regular extraction is not γ-almost-regular; "
@@ -719,7 +702,7 @@ def _extend_from_root(
     and maps the result back to the ids of T and G.  Raises
     :class:`HypothesisViolation` when the extension's hypotheses fail.
     """
-    host, old_hosts = induced_subtournament(G, region)
+    host, old_hosts = G.induced(region)
     sub, old = _extract_subtree(T, mask)
     t_new, v_new = old.index(t), old_hosts.index(v)
     got = extend_one_by_one(
@@ -768,8 +751,8 @@ def _star_branch_wide(
     if cand is None:
         notes.append("wide branch: no Y-vertex with y out-neighbours in Y")
         return None
-    n_prime = _first_bits(G.out_rows[cand] & Y, y)
-    host, old_hosts = induced_subtournament(G, Y)
+    n_prime = first_bits(G.out_rows[cand] & Y, y)
+    host, old_hosts = G.induced(Y)
     host_index = {g: i for i, g in enumerate(old_hosts)}
     sub1, old1 = _extract_subtree(T, t1_mask)
     n_prime_new = mask_of(host_index[u] for u in bits(n_prime))
@@ -815,7 +798,7 @@ def _star_branch_narrow(
     if Y.bit_count() < 2 * sub3.n - 2:
         notes.append("narrow branch: Y too small for the outbranching step")
         return None
-    host, old_hosts = induced_subtournament(G, Y)
+    host, old_hosts = G.induced(Y)
     out3 = embed_outbranching(sub3, host)
     if not out3.found:
         notes.append("narrow branch: outbranching placement failed")
@@ -884,7 +867,7 @@ def embed_star_shaped(T: DirectedTree, G: Tournament, delta: int) -> EmbedOutcom
 
     for T_op, G_op, tag in ((T, G, "forward"), (T.reverse(), G.reverse(), "reversed")):
         prof = weight_profile(T_op)
-        t = _lsb(core_tree(T_op, delta).vertices)
+        t = lsb(core_tree(T_op, delta).vertices)
         y = prof.out_weight[t]
         z = prof.in_weight[t]
         t1_mask = 1 << t
@@ -1015,7 +998,7 @@ def portfolio_embed(
             notes.append(f"{stage}: failed")
 
     if G.n <= EXHAUSTIVE_MAX_N:
-        full = exhaustive_embed(T, G, SearchConstraints(node_budget=node_budget))
+        full = exhaustive_embed(T, G, node_budget=node_budget)
         nodes += full.nodes
         if full.found:
             assert full.embedding is not None

@@ -23,7 +23,6 @@ from treetour import (
     density,
     directed_edge_count,
     forward_arc_count,
-    induced_subtournament,
     is_valid_embedding,
     restricted_neighbourhood,
 )
@@ -213,7 +212,7 @@ def test_restricted_neighbourhood_rejects_bad_direction():
 
 def test_induced_on_transitive_is_transitive():
     G = transitive_tournament(5)
-    H, ids = induced_subtournament(G, mask_of([1, 3, 4]))
+    H, ids = G.induced(mask_of([1, 3, 4]))
     assert ids == [1, 3, 4]
     assert H.n == 3
     for i in range(3):
@@ -222,7 +221,7 @@ def test_induced_on_transitive_is_transitive():
 
 
 def test_induced_preserves_arc_directions():
-    H, ids = induced_subtournament(CYCLE3, mask_of([0, 2]))
+    H, ids = CYCLE3.induced(mask_of([0, 2]))
     assert ids == [0, 2]
     assert H.has_arc(1, 0)  # original arc 2->0
 

@@ -17,8 +17,6 @@ from treetour import (
     DirectedTree,
     EmbedOutcome,
     GraphDefectError,
-    InfeasiblePinning,
-    SearchConstraints,
     Tournament,
     embed_outbranching,
     exhaustive_embed,
@@ -39,15 +37,16 @@ from treetour.generate import (
 )
 from treetour import search
 from treetour.formats import parse_tournament
-from treetour.graphs import mask_of
+from treetour.graphs import full_mask, mask_of
 from treetour.search import MEDIAN_EXACT_MAX_N
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def brute_force_embeds(T: DirectedTree, G: Tournament) -> bool:
-    """Independent oracle: try every injection tree -> host."""
-    for image in itertools.permutations(range(G.n), T.n):
+def brute_force_embeds(T: DirectedTree, G: Tournament, region: int | None = None) -> bool:
+    """Independent oracle: try every injection tree -> host (or region)."""
+    hosts = range(G.n) if region is None else [v for v in range(G.n) if (region >> v) & 1]
+    for image in itertools.permutations(hosts, T.n):
         if all(G.has_arc(image[u], image[v]) for u, v in T.arcs):
             return True
     return False
@@ -72,46 +71,50 @@ def test_inward_star_fits_in_transitive_four():
     assert G.in_deg(out.embedding[0]) >= 2  # centre image needs 2 in-arcs
 
 
-def test_pinning_constrains_the_image():
-    arc = DirectedTree(2, [(0, 1)])
-    out = exhaustive_embed(arc, CYCLE3, SearchConstraints(pinned={0: 0}))
-    assert out.verdict == "found"
-    assert out.embedding[0] == 0 and out.embedding[1] == 1
-
-
-def test_contradictory_pins_are_an_error_not_a_verdict():
-    arc = DirectedTree(2, [(0, 1)])
-    with pytest.raises(InfeasiblePinning):
-        exhaustive_embed(arc, CYCLE3, SearchConstraints(pinned={0: 0, 1: 0}))
-    with pytest.raises(InfeasiblePinning):
-        exhaustive_embed(
-            arc, CYCLE3, SearchConstraints(pinned={0: 0}, forbidden=mask_of([0]))
-        )
-    with pytest.raises(InfeasiblePinning):
-        # both endpoints pinned against the arc direction
-        exhaustive_embed(arc, CYCLE3, SearchConstraints(pinned={0: 1, 1: 0}))
-
-
 def test_allowed_sets_restrict_candidate_images():
     arc = DirectedTree(2, [(0, 1)])
-    G = transitive_tournament(4)
-    out = exhaustive_embed(
-        arc, G, SearchConstraints(allowed={0: mask_of([2]), 1: mask_of([3])})
-    )
+    out = exhaustive_embed(arc, transitive_tournament(4), region=mask_of([2, 3]))
     assert out.verdict == "found"
     assert out.embedding == {0: 2, 1: 3}
-    out = exhaustive_embed(
-        arc, G, SearchConstraints(allowed={0: mask_of([3]), 1: mask_of([2])})
-    )
-    assert out.verdict == "not_found"
+    # the three-cycle plus a sink: the inward star needs the sink as centre
+    G = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+    assert exhaustive_embed(inward_star(3), G).verdict == "found"
+    assert exhaustive_embed(inward_star(3), G, region=mask_of([0, 1, 2])).verdict == "not_found"
 
 
 def test_forbidden_vertices_are_never_used():
     P = directed_path(3)
     G = transitive_tournament(5)
-    out = exhaustive_embed(P, G, SearchConstraints(forbidden=mask_of([0, 1])))
+    out = exhaustive_embed(P, G, region=mask_of([2, 3, 4]))
     assert out.verdict == "found"
     assert set(out.embedding.values()) == {2, 3, 4}
+
+
+def test_region_verdicts_match_permutation_oracle():
+    rng = random.Random(5)
+    for seed in range(60):
+        T = random_oriented_tree(2 + seed % 3, seed=seed)
+        G = random_tournament(T.n + seed % 4, seed=2000 + seed)
+        region = rng.getrandbits(G.n)
+        out = exhaustive_embed(T, G, region=region)
+        assert out.verdict in ("found", "not_found")
+        assert (out.verdict == "found") == brute_force_embeds(T, G, region)
+        greedy = greedy_embed(T, G, region=region)
+        assert greedy.verdict in ("found", "budget_exhausted")
+        for found in (out, greedy):
+            if found.embedding is not None:
+                assert is_valid_embedding(T, G, found.embedding)
+                assert mask_of(found.embedding.values()) & ~region == 0
+        if greedy.found:
+            assert out.found
+
+
+@pytest.mark.parametrize("search_fn", [greedy_embed, exhaustive_embed])
+def test_region_outside_the_host_is_an_error(search_fn):
+    arc = DirectedTree(2, [(0, 1)])
+    for region in (1 << 3, full_mask(4), -1, -0b110):
+        with pytest.raises(ValueError, match="host vertices"):
+            search_fn(arc, CYCLE3, region=region)
 
 
 def test_exhaustive_verdicts_match_permutation_oracle():
@@ -133,7 +136,7 @@ def test_tree_larger_than_host_is_not_found():
 def test_node_budget_exhaustion_is_reported_distinctly():
     T = random_oriented_tree(8, seed=2)
     G = random_tournament(16, seed=3)
-    out = exhaustive_embed(T, G, SearchConstraints(node_budget=1))
+    out = exhaustive_embed(T, G, node_budget=1)
     assert out.verdict == "budget_exhausted"
     assert out.embedding is None
 
@@ -171,15 +174,18 @@ def test_greedy_found_implies_exhaustive_found():
 def test_cached_plan_matches_a_fresh_tree_across_hosts():
     hosts = [random_tournament(5 + s % 4, seed=700 + s) for s in range(24)]
     hosts += [transitive_tournament(8), rotational_regular_tournament(7)]
-    constraints = (None, SearchConstraints(forbidden=0b101))
     for seed in range(6):
         T = random_oriented_tree(5, seed=seed)
         for tree in (T, T.reverse()):
             for G in hosts:
-                for c in constraints:
+                for region in (None, full_mask(G.n) & ~0b101):
                     fresh = DirectedTree(tree.n, tree.arcs)
-                    assert greedy_embed(tree, G, c) == greedy_embed(fresh, G, c)
-                    assert exhaustive_embed(tree, G, c) == exhaustive_embed(fresh, G, c)
+                    assert greedy_embed(tree, G, region=region) == greedy_embed(
+                        fresh, G, region=region
+                    )
+                    assert exhaustive_embed(tree, G, region=region) == exhaustive_embed(
+                        fresh, G, region=region
+                    )
             plan = tree.plan
             assert type(plan) is tuple and all(type(part) is tuple for part in plan)
             greedy_embed(tree, hosts[0])

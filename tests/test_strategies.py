@@ -282,10 +282,10 @@ def test_two_set_names_violated_hypotheses():
 def test_failed_placement_on_a_validated_instance_is_a_defect(monkeypatch, run, where):
     # a validated instance always leaves room, so a component that neither
     # greedy nor the complete search can place is a bug, named by procedure
-    def budget_exhausted(T, G, constraints=None):
+    def budget_exhausted(T, G, **_):
         return search.EmbedOutcome(search.BUDGET_EXHAUSTED, None, 0, "greedy")
 
-    def not_found(T, G, constraints=None):
+    def not_found(T, G, **_):
         return search.EmbedOutcome(search.NOT_FOUND, None, 0, "exhaustive")
 
     monkeypatch.setattr(strategies, "greedy_embed", budget_exhausted)
