@@ -45,7 +45,6 @@ from .graphs import (
     density,
     directed_edge_count,
     is_valid_embedding,
-    restricted_neighbourhood,
 )
 from .formats import parse_tournament, parse_tree, write_tournament, write_tree
 from .weights import (
@@ -138,7 +137,6 @@ __all__ = [
     "density",
     "directed_edge_count",
     "is_valid_embedding",
-    "restricted_neighbourhood",
     # formats
     "parse_tournament",
     "parse_tree",

@@ -422,15 +422,6 @@ def degrees(G: Tournament) -> list[tuple[int, int]]:
     return [(G.out_deg(v), G.in_deg(v)) for v in range(G.n)]
 
 
-def restricted_neighbourhood(G: Tournament, v: int, subset: int, direction: str) -> int:
-    """Out- or in-neighbours of ``v`` inside a vertex bitmask."""
-    if direction == "out":
-        return G.out_rows[v] & subset
-    if direction == "in":
-        return G.in_rows[v] & subset
-    raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-
-
 def directed_edge_count(G: Tournament, source: int, target: int) -> int:
     """Number of arcs from the bitmask ``source`` into the bitmask ``target``."""
     return sum((G.out_rows[u] & target).bit_count() for u in bits(source))

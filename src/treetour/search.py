@@ -15,7 +15,11 @@
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
 - :func:`greedy_embed`: fast incomplete first attempt inside a host
-  region, used by the structured strategies before the complete search.
+  region, used by the structured strategies before the complete search;
+  a candidate's residual in-degree is read off its out-degree (ro + ri
+  is the same for every candidate), so a candidate costs one AND and one
+  popcount, and the scan stops at the first candidate scoring the most
+  any can.
 
 The two searches take one constraint, ``region``: a host bitmask that
 holds every image (default: all of G).  The strategies place each tree
@@ -191,36 +195,52 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
     ``region`` is a host bitmask (default: all of G) holding every image.
     Each tree vertex takes the admissible image maximizing the smaller of
     its residual out/in neighbourhood sizes over the whole host (ties to
-    the smallest id).  Returns Found or BudgetExhausted, never NotFound.
+    the smallest id).  An unused candidate g has every other unused vertex
+    as exactly one of an out- or in-neighbour, so its residual sizes
+    satisfy ro + ri = rest, the number of unused vertices besides g, which
+    is the same for every candidate at a level.  A candidate therefore
+    costs one AND and one popcount (ro), and no candidate scores more than
+    rest // 2: the scan stops at the first one that does, since a later
+    one could only tie.  Returns Found or BudgetExhausted, never NotFound.
     A region with host ids outside ``0 .. G.n-1`` raises ValueError.
     """
     region = _region_mask(G, region)
     order, parents, out_need, in_need = _search_plan(T)
     if T.n > region.bit_count():
         return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "greedy", ("too few available vertices",))
+    out_rows = G.out_rows
     images: list[int] = []
     used = 0
+    rest = G.n - 1
     nodes = 0
     for level, u in enumerate(order):
         ppos, pdir = parents[level]
         m = _candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
+        free = ~used
+        min_ro = out_need[u]
+        max_ro = rest - in_need[u]
+        top = rest // 2
         best_g = -1
         best_score = -1
-        for g in bits(m):
-            free = ~(used | (1 << g))
-            ro = (G.out_rows[g] & free).bit_count()
-            ri = (G.in_rows[g] & free).bit_count()
-            if ro < out_need[u] or ri < in_need[u]:
+        while m:
+            low = m & -m
+            m ^= low
+            g = low.bit_length() - 1
+            ro = (out_rows[g] & free).bit_count()
+            if ro < min_ro or ro > max_ro:
                 continue
-            score = min(ro, ri)
+            score = ro if ro + ro <= rest else rest - ro
             if score > best_score:
                 best_score = score
                 best_g = g
+                if score == top:
+                    break
         nodes += 1
         if best_g < 0:
             return EmbedOutcome(BUDGET_EXHAUSTED, None, nodes, "greedy", ("dead end",))
         images.append(best_g)
         used |= 1 << best_g
+        rest -= 1
     mapping = {order[i]: images[i] for i in range(T.n)}
     if not is_valid_embedding(T, G, mapping):  # pragma: no cover
         raise GraphDefectError("greedy produced an invalid embedding")

@@ -24,7 +24,6 @@ from treetour import (
     directed_edge_count,
     forward_arc_count,
     is_valid_embedding,
-    restricted_neighbourhood,
 )
 from treetour.generate import (
     directed_path,
@@ -182,28 +181,6 @@ def test_degree_sums_match_pair_count():
         ds = degrees(G)
         assert all(o + i == 10 for o, i in ds)
         assert sum(o for o, _ in ds) == 11 * 10 // 2
-
-
-# ---------------------------------------------------------------------------
-# Neighbourhood restriction
-
-
-def test_restricted_neighbourhood_on_three_cycle():
-    S = mask_of([1, 2])
-    assert restricted_neighbourhood(CYCLE3, 0, S, "out") == mask_of([1])
-    assert restricted_neighbourhood(CYCLE3, 0, S, "in") == mask_of([2])
-
-
-def test_restricted_neighbourhood_on_transitive():
-    G = transitive_tournament(5)
-    S = mask_of([0, 1, 3, 4])
-    assert restricted_neighbourhood(G, 2, S, "out") == mask_of([3, 4])
-    assert restricted_neighbourhood(G, 2, S, "in") == mask_of([0, 1])
-
-
-def test_restricted_neighbourhood_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        restricted_neighbourhood(CYCLE3, 0, 0b110, "sideways")
 
 
 # ---------------------------------------------------------------------------

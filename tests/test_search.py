@@ -37,7 +37,7 @@ from treetour.generate import (
 )
 from treetour import search
 from treetour.formats import parse_tournament
-from treetour.graphs import full_mask, mask_of
+from treetour.graphs import bits, full_mask, mask_of
 from treetour.search import MEDIAN_EXACT_MAX_N
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -192,6 +192,95 @@ def test_cached_plan_matches_a_fresh_tree_across_hosts():
             assert tree.plan is plan
         assert T.reverse().plan is None
         assert T == DirectedTree(T.n, T.arcs) and hash(T) == hash(DirectedTree(T.n, T.arcs))
+
+
+# Reference: the greedy loop that counts both residual neighbourhoods of
+# every candidate.  The fast version reads the in-count off the out-count
+# and stops at the first candidate with the largest possible score; it must
+# return the same outcomes, because every embedding built on it is digested.
+
+
+def _reference_greedy_embed(T, G, *, region=None):
+    region = search._region_mask(G, region)
+    order, parents, out_need, in_need = search._search_plan(T)
+    if T.n > region.bit_count():
+        return EmbedOutcome("budget_exhausted", None, 0, "greedy", ("too few available vertices",))
+    images = []
+    used = 0
+    nodes = 0
+    for level, u in enumerate(order):
+        ppos, pdir = parents[level]
+        m = search._candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
+        best_g = -1
+        best_score = -1
+        for g in bits(m):
+            free = ~(used | (1 << g))
+            ro = (G.out_rows[g] & free).bit_count()
+            ri = (G.in_rows[g] & free).bit_count()
+            if ro < out_need[u] or ri < in_need[u]:
+                continue
+            score = min(ro, ri)
+            if score > best_score:
+                best_score = score
+                best_g = g
+        nodes += 1
+        if best_g < 0:
+            return EmbedOutcome("budget_exhausted", None, nodes, "greedy", ("dead end",))
+        images.append(best_g)
+        used |= 1 << best_g
+    mapping = {order[i]: images[i] for i in range(T.n)}
+    assert is_valid_embedding(T, G, mapping)
+    return EmbedOutcome("found", mapping, nodes, "greedy")
+
+
+def _relabelled(G, rng):
+    sigma = list(range(G.n))
+    rng.shuffle(sigma)
+    return Tournament.from_arcs(G.n, [(sigma[u], sigma[v]) for u, v in G.arcs()])
+
+
+def test_greedy_matches_the_two_popcount_reference():
+    rng = random.Random(2026)
+    pairs = []
+    for seed in range(1100):
+        n = 1 + seed % 12
+        T = random_oriented_tree(n, seed=seed)
+        G = random_tournament(rng.randint(max(1, n - 1), 2 * n + 1), seed=3000 + seed)
+        region = None
+        if seed % 2:
+            region = rng.getrandbits(G.n) | (1 << rng.randrange(G.n))
+        pairs.append((T, G, region))
+    for n, seed in ((100, 1), (150, 2), (200, 3)):
+        T = random_oriented_tree(n, seed=seed)
+        hosts = [
+            random_tournament(2 * n - 2, seed=seed),
+            _relabelled(rotational_regular_tournament(2 * n - 1), rng),
+            transitive_tournament(2 * n - 2),
+        ]
+        pairs += [(T, G, None) for G in hosts]
+        pairs.append((T, hosts[0], rng.getrandbits(hosts[0].n)))
+    seen = set()
+    for T, G, region in pairs:
+        out = greedy_embed(T, G, region=region)
+        assert out == _reference_greedy_embed(T, G, region=region)
+        seen.add((out.verdict, out.notes))
+    assert seen == {
+        ("found", ()),
+        ("budget_exhausted", ("dead end",)),
+        ("budget_exhausted", ("too few available vertices",)),
+    }
+
+
+@pytest.mark.parametrize("G", [transitive_tournament(7), transitive_tournament(7).reverse()])
+def test_greedy_breaks_a_score_tie_to_the_smallest_id(G):
+    # In the region {1, 5} of a transitive host on 7 vertices one candidate
+    # has ro = 1 and the other ro = rest - 1 = 5: both score 1, below the
+    # best possible score of 3, and vertex 1 wins either way round.
+    point = DirectedTree(1, [])
+    out = greedy_embed(point, G, region=mask_of([1, 5]))
+    assert sorted((G.out_deg(1), G.out_deg(5))) == [1, 5]
+    assert out.embedding == {0: 1}
+    assert out == _reference_greedy_embed(point, G, region=mask_of([1, 5]))
 
 
 # ---------------------------------------------------------------------------
