@@ -7,10 +7,10 @@
   a vertex that beats no placed vertex (one mask test) is appended
   without a scan.
 - :func:`median_order`: orderings maximizing forward arcs, exact (subset
-  DP, n ≤ 20) or local search: first-improvement single-vertex moves on
-  a column-major sign matrix, each move's target read off the prefix sums
-  of one row; after a move only the earlier vertices it can have given a
-  move are re-checked, never the whole order from position 0.
+  DP, n ≤ 20) or local search: first-improvement single-vertex moves,
+  with every vertex's prefix sums packed into the fields of one Python
+  int per position, so one pass of n + 1 big-int subtractions and ANDs
+  per move finds every vertex that has an improving move.
 - :func:`embed_outbranching`: median-order-guided greedy embedding of
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
@@ -31,9 +31,10 @@ from the tree's 2-core vertex (the centroid), candidate images ascending.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, and_, indexOf, sub
 
 from .graphs import (
     DirectedTree,
@@ -323,78 +324,75 @@ def _median_exact(G: Tournament) -> tuple[list[int], int]:
     return order, best[(1 << n) - 1]
 
 
-# Column q of a sign matrix, from the bits of in_rows[order[q]] in id order.
-_SIGN = bytes.maketrans(b"01", b"\xff\x01")
+def _local_search(G: Tournament) -> tuple[list[int], int]:
+    """First-improvement single-vertex moves to a fixed point, restarted
+    from the 5 rotations of the Redei path; the best order and its count.
 
+    Let s_u(w) be +1 if u beats w, -1 if w beats u, 0 if w is u, and P_u[q]
+    the sum of s_u over positions < q.  For v at position i, moving it
+    before position j < i gains P_v[i] - P_v[j] and moving it after j > i
+    gains P_v[i] - P_v[j+1], while P_v[i+1] = P_v[i]; so v's first
+    improving target is the first q with P_v[q] < P_v[i] (q - 1 when q > i).
 
-def _sign_columns(G: Tournament, order: list[int]) -> array:
-    """The sign matrix of ``order``, column-major in one ``array('b')``.
-
-    Entry ``q*n + u`` is +1 if u beats ``order[q]``, -1 if ``order[q]``
-    beats u, and 0 if u is ``order[q]``.  Column q is the in-row of
-    ``order[q]`` as signs, and the row of u laid out in order is the slice
-    ``[u::n]``.  It takes n² bytes.
+    Vertex u owns field u, ``width`` bits wide, of each Python int below:
+    room for P_u + n - 1 (0 .. 2n - 2) and a guard bit on top.  Column q of
+    ``P`` holds every P_u[q] + n - 1 with the guard set, built per restart
+    as P[q+1] = P[q] + D[order[q]], where D[w] = spread(in_rows[w]) -
+    spread(out_rows[w]) is built once per call (spread moves bit u of a
+    row to the bottom of field u).  ``L`` holds every level
+    P_u[pos u] + n - 1.  No field borrows from the next in P[q] - L, and
+    its guard survives iff P_u[q] >= P_u[pos u], so ``guards & ~AND_q
+    (P[q] - L)`` flags every vertex with an improving move in one pass over
+    the n + 1 columns.  Each move is the one a rescan from position 0 would
+    make: the flagged vertex with the lowest position, to its first
+    improving target.  A move between positions lo < hi shifts the columns
+    between them by one place and by ±D[v], so L changes only on the fields
+    of the vertices v passes (by their sign against v) and on v's own.
     """
+    base = redei_path(G)
     n = G.n
-    signs = array("b")
-    for w in order:
-        column = bytearray(format(G.in_rows[w], f"0{n}b").encode().translate(_SIGN)[::-1])
-        column[w] = 0
-        signs.frombytes(column)
-    return signs
-
-
-def _local_search(order: list[int], signs: array) -> None:
-    """First-improvement single-vertex moves until no vertex has one.
-
-    ``signs`` is the :func:`_sign_columns` matrix of ``order``; a move
-    moves one column, and both are updated in place.  For v at position i
-    with row s in order and P = accumulate(s, initial=0), moving v before
-    position j < i gains P[i] - P[j] and moving it after position j > i
-    gains P[i] - P[j+1], while P[i+1] = P[i].  So v has an improving move
-    iff min(P) < P[i], and its first improving target is the first m with
-    P[m] < P[i] (m - 1 when m > i).  Each move is the first improving
-    (position, target) pair in position order, the one a rescan from
-    position 0 would find, without the rescan: vertices before ``ptr`` are
-    known to have no move.  A move between positions lo < hi changes, for
-    a vertex u at p < lo, only its row sums over [p, m) with lo < m <= hi.
-    Each new sum is an old one (>= 0) minus or plus u's sign against v, so
-    it can turn negative only if u beats v (a move right) or v beats u (a
-    move left).  Just those vertices are re-checked over [p, hi), and the
-    scan goes on from the first one that gained a move, else from lo.
-    """
-    n = len(order)
-    ptr = 0
-    while True:
-        while ptr < n:
-            v = order[ptr]
-            prefix = list(accumulate(signs[v::n], initial=0))
-            level = prefix[ptr]
-            if min(prefix) < level:
-                break
-            ptr += 1
-        else:
-            return
-        i = ptr
-        # P moves in steps of ±1 apart from the 0 at v, and P[0] = 0, so
-        # the first m with P[m] < level is 0 or the first m at level - 1.
-        m = 0 if level > 0 else prefix.index(level - 1)
-        j = m if m < i else m - 1
-        order.insert(j, order.pop(i))
-        column = signs[i * n : (i + 1) * n]
-        del signs[i * n : (i + 1) * n]
-        signs[j * n : j * n] = column
-        # v's own row marks the earlier vertices to re-check: -1 where
-        # u beats v (a move right), +1 where v beats u (a move left).
-        lo, hi, mark = (i, j, b"\xff") if j > i else (j, i, b"\x01")
-        ptr = lo
-        row = signs[v::n].tobytes()
-        p = row.find(mark, 0, lo)
-        while p >= 0:
-            if min(accumulate(signs[p * n + order[p] : hi * n : n])) < 0:
-                ptr = p
-                break
-            p = row.find(mark, p + 1, lo)
+    width = (2 * n - 2).bit_length() + 1
+    unit = [1 << (width * u) for u in range(n)]
+    field = [e * ((1 << width) - 1) for e in unit]
+    units = sum(unit)
+    guards = units << (width - 1)
+    spread = {ord("0"): "0" * width, ord("1"): "1".rjust(width, "0")}
+    ins = [int(format(row, f"0{n}b").translate(spread), 2) for row in G.in_rows]
+    diff = [2 * i - units + e for i, e in zip(ins, unit)]
+    best_order: list[int] = []
+    best_count = -1
+    for k in range(5):
+        r = k * n // 5
+        order = base[r:] + base[:r]
+        P = list(accumulate(map(diff.__getitem__, order), initial=guards + (n - 1) * units))
+        L = sum(map(and_, P, map(field.__getitem__, order))) - guards
+        while flags := guards & ~reduce(and_, map(sub, P, repeat(L))):
+            for i, v in enumerate(order):  # the lowest flagged position
+                if flags & field[v]:
+                    break
+            fv = field[v]
+            level = P[i] & fv
+            # P_v moves in steps of ±1 apart from the 0 at v, from P_v[0] = 0,
+            # so the first q with P_v[q] < level is 0 or the first at level - 1.
+            q = 0 if P[0] & fv < level else indexOf(map(fv.__and__, P), level - unit[v])
+            if q < i:
+                j = q
+                order.insert(j, order.pop(i))
+                P[j + 1 : i + 1] = map(add, P[j:i], repeat(diff[v]))
+                passed = sum(map(unit.__getitem__, order[j + 1 : i + 1]))
+                L += 2 * (ins[v] & passed) - passed
+            else:
+                j = q - 1
+                order.insert(j, order.pop(i))
+                P[i + 1 : j + 1] = map(sub, P[i + 2 : j + 2], repeat(diff[v]))
+                passed = sum(map(unit.__getitem__, order[i:j]))
+                L -= 2 * (ins[v] & passed) - passed
+            L += (P[j] & fv) - level
+        count = forward_arc_count(G, order)
+        if count > best_count:
+            best_count = count
+            best_order = order
+    return best_order, best_count
 
 
 def median_order(G: Tournament, mode: str = "local") -> tuple[list[int], int]:
@@ -404,30 +402,24 @@ def median_order(G: Tournament, mode: str = "local") -> tuple[list[int], int]:
     (n ≤ 20).  ``local`` runs first-improvement single-vertex moves
     (:func:`_local_search`) to a fixed point, restarted from the 5
     rotations of the Redei path by ⌊kn/5⌋; the best count wins, ties to
-    the earliest restart.  A fixed point has the feedback property: for
-    i < j, order[i] beats at least half of order[i+1..j] and order[j] is
-    beaten by at least half of order[i..j-1].  The sign matrix is built
-    once per call and rotated per restart.
+    the earliest restart.  Each move takes the lowest-position vertex
+    that has an improving move to its first improving target, the move a
+    rescan from position 0 would make.  A fixed point has the feedback
+    property: for i < j, order[i] beats at least half of order[i+1..j]
+    and order[j] is beaten by at least half of order[i..j-1].
+
+    Vertex u owns a field of about log2(n) + 2 bits in one Python int per
+    position q, holding u's prefix sum of signs against the vertices
+    before q, with a guard bit on top.  A move costs one pass of n + 1
+    big-int subtractions and ANDs, which flags every vertex that has an
+    improving move, then an update of the columns and fields between the
+    move's two ends.  Memory is O(n) ints of O(n log n) bits.
     """
     if mode == "exact":
         return _median_exact(G)
     if mode != "local":
         raise ValueError(f"mode must be 'exact' or 'local', got {mode!r}")
-    base = redei_path(G)
-    n = G.n
-    signs = _sign_columns(G, base)
-    best_order: list[int] | None = None
-    best_count = -1
-    for k in range(5):
-        r = k * n // 5
-        order = base[r:] + base[:r]
-        _local_search(order, signs[r * n :] + signs[: r * n])
-        count = forward_arc_count(G, order)
-        if count > best_count:
-            best_count = count
-            best_order = order
-    assert best_order is not None
-    return best_order, best_count
+    return _local_search(G)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ a nonzero exit code.
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from treetour import (
     verify_sharpness,
     verify_sumner,
 )
+import treetour
 from treetour import cli, reports, search
 from treetour.cli import main
 from treetour.formats import write_tournament, write_tree
@@ -395,6 +400,19 @@ def test_cli_decompose_sweep_of_random_hosts_ends_in_a_split_or_a_regime(tmp_pat
                 assert err.startswith("treetour: regime: "), (n, s, err)
                 assert err.count("\n") == 1 and "Traceback" not in err
     assert decomposed == {10: 10, 20: 10, 40: 9, 50: 1}
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "treetour", "--version"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == treetour.__version__
 
 
 def test_cli_verify_sumner_is_byte_stable_without_timing(capsys):

@@ -456,10 +456,14 @@ def _oracle_hosts():
             yield f"random n={n} seed={seed}", random_tournament(n, seed=seed)
     for n in (50, 62, 66):
         yield f"random n={n}", random_tournament(n, seed=n)
+    # the local search's fields grow from 8 to 9 bits between n = 64 and 65
+    for n in (63, 64, 65):
+        for seed in range(2):
+            yield f"random n={n} seed={seed}", random_tournament(n, seed=seed)
     for n in (1, 2, 3, 7, 16, 33, 60):
         yield f"transitive n={n}", transitive_tournament(n)
         yield f"reversed transitive n={n}", transitive_tournament(n).reverse()
-    for n in range(1, 42, 2):
+    for n in (*range(1, 42, 2), 63, 65):
         yield f"rotational n={n}", rotational_regular_tournament(n)
     for n, blocks in ((30, 2), (40, 3), (60, 4)):
         for seed in range(2):
@@ -475,7 +479,7 @@ def test_local_median_order_and_redei_path_match_the_reference():
         assert redei_path(G) == _reference_redei_path(G), name
         assert median_order(G) == _reference_median_order(G), name
         hosts += 1
-    assert hosts == 120 + 3 + 14 + 21 + 6 + 29
+    assert hosts == 120 + 3 + 6 + 14 + 21 + 2 + 6 + 29
 
 
 def test_redei_path_of_large_transitive_host_needs_no_scan():
@@ -503,7 +507,7 @@ def feedback_property_violation(G, order):
 
 
 def test_local_median_order_has_the_feedback_property():
-    hosts = [random_tournament(n, seed=100 + n) for n in range(1, 45)]
+    hosts = [random_tournament(n, seed=100 + n) for n in (*range(1, 45), 63, 64, 65)]
     hosts += [rotational_regular_tournament(n) for n in (5, 9, 21)]
     hosts += [transitive_tournament(20).reverse(), _transitive_blow_up(40, 3, 7)]
     for G in hosts:
