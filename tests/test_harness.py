@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import treetour
 from treetour import (
     CampaignSummary,
     GraphDefectError,
@@ -29,7 +30,6 @@ from treetour import (
     verify_sharpness,
     verify_sumner,
 )
-import treetour
 from treetour import cli, reports, search
 from treetour.cli import main
 from treetour.formats import write_tournament, write_tree
