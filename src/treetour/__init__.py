@@ -12,12 +12,10 @@ orientation of a tree.  This package provides:
   a greedy embedder (:mod:`treetour.search`);
 - structured embedding strategies built from finite embedding lemmas:
   round-the-back, one-by-one extension, component-by-component extension,
-  almost-regular extraction, a star-shaped-tree strategy, and a portfolio
-  driver over greedy, path, branching and complete search
-  (:mod:`treetour.strategies`);
-- robust outexpander verdicts, non-expander splits, a tournament
-  decomposition into expander/small pieces, reduced digraphs, and a
-  regularity falsifier (:mod:`treetour.expansion`);
+  a star-shaped-tree strategy, and a portfolio driver over greedy, path,
+  branching and complete search (:mod:`treetour.strategies`);
+- robust outexpander verdicts, non-expander splits, and a tournament
+  decomposition into expander/small pieces (:mod:`treetour.expansion`);
 - deterministic seeded generators, exhaustive enumeration up to
   isomorphism, and hypothesis-satisfying instance builders with
   per-hypothesis mutators (:mod:`treetour.generate`,
@@ -53,7 +51,6 @@ from .weights import (
     components_against,
     core_tree,
     edge_weight,
-    leading_paths,
     weight_profile,
 )
 from .search import (
@@ -103,7 +100,6 @@ from .expansion import (
     is_robust_outexpander,
     make_expander_checker,
     non_expander_split,
-    regularity_falsifier,
     robust_out_neighbourhood,
     tournament_split,
 )
@@ -148,7 +144,6 @@ __all__ = [
     "components_against",
     "core_tree",
     "edge_weight",
-    "leading_paths",
     "weight_profile",
     # search
     "EmbedOutcome",
@@ -193,7 +188,6 @@ __all__ = [
     "is_robust_outexpander",
     "make_expander_checker",
     "non_expander_split",
-    "regularity_falsifier",
     "robust_out_neighbourhood",
     "tournament_split",
     # reports

@@ -1,4 +1,4 @@
-"""Robust out-expansion: verdicts, splits, and density primitives.
+"""Robust out-expansion: verdicts and splits.
 
 A tournament on ``n`` vertices is a robust (μ,ν)-outexpander when every
 vertex set ``S`` with ``ν·n ≤ |S| ≤ (1−ν)·n`` has a robust
@@ -23,9 +23,7 @@ in-neighbours inside ``S``.  This module provides:
 * :func:`tournament_split` — iteratively peel low-semidegree vertices
   and split non-expander pieces until every piece is small or a robust
   outexpander, tracking bad (backward) arcs and deleting vertices that
-  touch too many of them;
-* cluster density bookkeeping, the threshold-``d`` reduced digraph, and
-  a sampled falsifier for the ε-regularity of a pair of vertex sets.
+  touch too many of them.
 
 All threshold comparisons are exact (integer counts against Fractions);
 randomised components draw from the package's seeded streams, so every
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .generate import stream
 from .graphs import (
@@ -46,7 +44,6 @@ from .graphs import (
     as_fraction,
     bit_list,
     bits,
-    density,
     directed_edge_count,
     full_mask,
     mask_of,
@@ -57,22 +54,15 @@ __all__ = [
     "NOT_EXPANDER",
     "UNKNOWN",
     "EXACT_EXPANDER_MAX_N",
-    "IRREGULAR",
-    "NO_VIOLATION_FOUND",
     "ExpanderVerdict",
     "SplitSearchExhausted",
     "SplitRegimeError",
     "SplitResult",
-    "ClusterDensities",
-    "RegularityVerdict",
     "robust_out_neighbourhood",
     "is_robust_outexpander",
     "non_expander_split",
     "tournament_split",
     "make_expander_checker",
-    "cluster_densities",
-    "reduced_digraph",
-    "regularity_falsifier",
 ]
 
 EXPANDER = "expander"
@@ -81,9 +71,6 @@ UNKNOWN = "unknown"
 SMALL = "small"
 
 EXACT_EXPANDER_MAX_N = 20
-
-IRREGULAR = "irregular"
-NO_VIOLATION_FOUND = "no_violation_found"
 
 
 def _ceil(x: Fraction) -> int:
@@ -770,225 +757,3 @@ def _verify_split(G: Tournament, result: SplitResult) -> None:
                 raise GraphDefectError(
                     "an expander-classified piece was falsified by sampling"
                 )
-
-
-@dataclass(frozen=True)
-class ClusterDensities:
-    """Pairwise directed densities between k equal-size vertex clusters.
-
-    ``d[i][j]`` is the arc density from cluster i to cluster j (the
-    diagonal is unused and fixed at 0).  For clusters from a tournament,
-    ``d[i][j] + d[j][i] == 1`` for i ≠ j; in general the sum is at most 1.
-    """
-
-    k: int
-    m: int
-    d: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1:
-            raise ValueError("need at least one cluster of at least one vertex")
-        if len(self.d) != self.k or any(len(row) != self.k for row in self.d):
-            raise ValueError(f"density matrix must be {self.k}×{self.k}")
-        for i in range(self.k):
-            for j in range(self.k):
-                if i == j:
-                    continue
-                if not (0 <= self.d[i][j] <= 1):
-                    raise ValueError(f"density d[{i}][{j}] outside [0,1]")
-                if self.d[i][j] + self.d[j][i] > 1:
-                    raise ValueError(
-                        f"densities d[{i}][{j}] + d[{j}][{i}] exceed 1"
-                    )
-
-
-def cluster_densities(G: Tournament, clusters: Sequence[int]) -> ClusterDensities:
-    """Pairwise densities of disjoint equal-size vertex masks."""
-    if not clusters:
-        raise ValueError("need at least one cluster")
-    sizes = {c.bit_count() for c in clusters}
-    if len(sizes) != 1 or 0 in sizes:
-        raise ValueError("clusters must be nonempty and of equal size")
-    union = 0
-    for c in clusters:
-        if c & union:
-            raise ValueError("clusters must be disjoint")
-        union |= c
-    if union & ~full_mask(G.n):
-        raise ValueError("clusters contain out-of-range vertices")
-    k = len(clusters)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(
-                density(G, clusters[i], clusters[j]) if i != j else Fraction(0)
-            )
-        rows.append(tuple(row))
-    return ClusterDensities(k=k, m=next(iter(sizes)), d=tuple(rows))
-
-
-def reduced_digraph(cd: ClusterDensities, d) -> list[int]:
-    """Digraph on the clusters with an arc i→j whenever d_ij ≥ d.
-
-    Returned as out-neighbour bitmasks.  For thresholds above 1/2 the
-    result is an oriented graph (no pair of opposite arcs) because
-    opposite densities sum to at most 1 — asserted.
-    """
-    thresh = _check_unit_interval("d", d, closed_top=True)
-    rows = [0] * cd.k
-    for i in range(cd.k):
-        for j in range(cd.k):
-            if i != j and cd.d[i][j] >= thresh:
-                rows[i] |= 1 << j
-    if thresh > Fraction(1, 2):
-        for i in range(cd.k):
-            for j in bits(rows[i]):
-                if rows[j] >> i & 1:
-                    raise GraphDefectError(
-                        f"threshold {thresh} > 1/2 produced opposite arcs "
-                        f"between clusters {i} and {j}"
-                    )
-    return rows
-
-
-@dataclass(frozen=True)
-class RegularityVerdict:
-    """Outcome of the ε-regularity falsifier.
-
-    ``"irregular"`` carries witness subsets whose directed density
-    deviates from the pair's by more than ε.  ``"no_violation_found"``
-    only means the sampled candidates all stayed within ε — it is not a
-    regularity certificate.
-    """
-
-    status: str
-    epsilon: Fraction
-    base_density: Fraction
-    witness_U: int | None = None
-    witness_V: int | None = None
-    witness_density: Fraction | None = None
-    samples: int = 0
-
-
-def _density_sorted(G: Tournament, pool: int, other: int, *, outward: bool) -> list[int]:
-    rows = G.out_rows if outward else G.in_rows
-    return sorted(
-        bit_list(pool), key=lambda v: (-(rows[v] & other).bit_count(), v)
-    )
-
-
-def regularity_falsifier(
-    G: Tournament,
-    U: int,
-    V: int,
-    eps,
-    sample_budget: int = 1000,
-    *,
-    seed: int = 0,
-) -> RegularityVerdict:
-    """Search for subsets violating the ε-regularity of the pair (U, V).
-
-    Candidates are prefixes of density-sorted orders (U by out-arcs into
-    V, V by in-arcs from U, densest first and sparsest first) paired at a
-    spread of admissible sizes, then seeded random subset pairs.  A
-    witness must satisfy |U′| > ε|U|, |V′| > ε|V| and deviate from the
-    base density by more than ε; it is re-checked before returning.
-    Exhausting the budget yields ``no_violation_found``, which is NOT a
-    certificate of regularity — deciding regularity exactly is
-    intractable in general.
-    """
-    eps_f = _check_unit_interval("eps", eps, closed_top=True)
-    if U & V:
-        raise ValueError("U and V must be disjoint")
-    if not U or not V:
-        raise ValueError("U and V must be nonempty")
-    if (U | V) & ~full_mask(G.n):
-        raise ValueError("U or V contains out-of-range vertices")
-    nu_, nv_ = U.bit_count(), V.bit_count()
-    if eps_f * nu_ < 1 or eps_f * nv_ < 1:
-        raise ValueError(
-            f"|U| = {nu_} and |V| = {nv_} must both be at least 1/ε = {1 / eps_f}"
-        )
-    base = density(G, U, V)
-    u_min = _floor(eps_f * nu_) + 1
-    v_min = _floor(eps_f * nv_) + 1
-
-    def spread(lo: int, hi: int) -> list[int]:
-        if lo > hi:
-            return []
-        return sorted({lo, (lo + hi) // 2, (lo + 3 * hi) // 4, hi})
-
-    u_orders = [
-        _density_sorted(G, U, V, outward=True),
-        list(reversed(_density_sorted(G, U, V, outward=True))),
-    ]
-    v_orders = [
-        _density_sorted(G, V, U, outward=False),
-        list(reversed(_density_sorted(G, V, U, outward=False))),
-    ]
-    structured: list[tuple[int, int]] = []
-    for uo in u_orders:
-        for vo in v_orders:
-            for ku in spread(u_min, nu_):
-                for kv in spread(v_min, nv_):
-                    structured.append((mask_of(uo[:ku]), mask_of(vo[:kv])))
-
-    rng = stream(seed, "expansion:regularity")
-    u_ids, v_ids = bit_list(U), bit_list(V)
-
-    def random_subset(ids: list[int], k: int) -> int:
-        pool = ids[:]
-        out = 0
-        for i in range(k):
-            j = i + rng.next_below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-            out |= 1 << pool[i]
-        return out
-
-    checked = 0
-    seen: set[tuple[int, int]] = set()
-
-    def examine(U_p: int, V_p: int) -> RegularityVerdict | None:
-        nonlocal checked
-        if (U_p, V_p) in seen:
-            return None
-        seen.add((U_p, V_p))
-        checked += 1
-        d = density(G, U_p, V_p)
-        if abs(d - base) > eps_f:
-            if not (
-                U_p.bit_count() > eps_f * nu_ and V_p.bit_count() > eps_f * nv_
-            ):
-                return None
-            # Recount from the V' side through in-rows, not through density().
-            arcs = sum((G.in_rows[v] & U_p).bit_count() for v in bits(V_p))
-            d_check = Fraction(arcs, U_p.bit_count() * V_p.bit_count())
-            if not abs(d_check - base) > eps_f:
-                raise GraphDefectError("regularity witness failed recheck")
-            return RegularityVerdict(
-                IRREGULAR,
-                eps_f,
-                base,
-                witness_U=U_p,
-                witness_V=V_p,
-                witness_density=d_check,
-                samples=checked,
-            )
-        return None
-
-    for U_p, V_p in structured:
-        if checked >= sample_budget:
-            break
-        hit = examine(U_p, V_p)
-        if hit:
-            return hit
-    while checked < sample_budget:
-        ku = u_min + rng.next_below(nu_ - u_min + 1)
-        kv = v_min + rng.next_below(nv_ - v_min + 1)
-        hit = examine(random_subset(u_ids, ku), random_subset(v_ids, kv))
-        if hit:
-            return hit
-    return RegularityVerdict(
-        NO_VIOLATION_FOUND, eps_f, base, samples=checked
-    )

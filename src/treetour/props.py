@@ -23,12 +23,10 @@ from fractions import Fraction
 
 from .expansion import (
     EXPANDER,
-    IRREGULAR,
     NOT_EXPANDER,
     UNKNOWN,
     is_robust_outexpander,
     make_expander_checker,
-    regularity_falsifier,
     robust_out_neighbourhood,
     tournament_split,
 )
@@ -1287,70 +1285,6 @@ def _witness_revalidation(config, col):
                 "a sampled subset refutes a certified expander",
                 tournament=G,
             )
-    return cases
-
-
-@_suite("regularity-falsifier")
-def _regularity_falsifier(config, col):
-    rng = stream(config.seed, "props:regularity-falsifier")
-    cases = _cases(200, config)
-    eps = Fraction(1, 8)
-    for i in range(cases):
-        if col.full:
-            return i
-        n = 8 + rng.next_below(53)
-        G = random_tournament(n, rng.next64())
-        U = full_mask(n // 2)
-        V = full_mask(n) & ~U
-        rv = regularity_falsifier(G, U, V, eps, 200, seed=rng.next64())
-        case = f"case{i}:n={n}"
-        col.check(
-            rv.base_density == density(G, U, V),
-            case,
-            "reported base density disagrees with a recount",
-            tournament=G,
-        )
-        if rv.status == IRREGULAR:
-            up, vp = rv.witness_U, rv.witness_V
-            col.check(
-                up & ~U == 0 and vp & ~V == 0,
-                case,
-                "witness subsets leave their sides",
-                tournament=G,
-            )
-            col.check(
-                up.bit_count() > eps * U.bit_count()
-                and vp.bit_count() > eps * V.bit_count(),
-                case,
-                "witness subsets are too small to count",
-                tournament=G,
-            )
-            dev = density(G, up, vp) - rv.base_density
-            col.check(
-                rv.witness_density == density(G, up, vp)
-                and (dev > eps or -dev > eps),
-                case,
-                "witness density deviation does not exceed epsilon",
-                tournament=G,
-            )
-    # planted irregular pair: a quarter of the cross arcs run U→V with
-    # density 1, the rest run V→U, so d(U,V)=1/4 but d(U₁,V₁)=1
-    arcs = [
-        (u, w) if u < 5 and w < 15 else (w, u)
-        for u in range(10)
-        for w in range(10, 20)
-    ]
-    arcs += [(u, w) for u in range(10) for w in range(u + 1, 10)]
-    arcs += [(u, w) for u in range(10, 20) for w in range(u + 1, 20)]
-    blocky = Tournament.from_arcs(20, arcs)
-    rv = regularity_falsifier(
-        blocky, full_mask(10), full_mask(20) & ~full_mask(10), Fraction(1, 5), 500
-    )
-    col.check(
-        rv.status == IRREGULAR,
-        "fixed:planted",
-        "falsifier misses a planted irregular pair",
-    )
     return cases
 
 

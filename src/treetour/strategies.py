@@ -27,9 +27,6 @@ Contents:
 * ``component_by_component`` (and its dual) — embeds a tree split into
   forests ``F⁻``/``F⁺`` (all cross arcs ``F⁻ → F⁺``) across a host
   bipartition ``Y``/``Z`` with few ``Y → Z`` arcs.
-* ``is_almost_regular`` / ``almost_regular_subtournament`` — degree
-  regularity test and the one-sided-degree extraction of a large
-  almost-regular subtournament.
 * ``embed_star_shaped`` — the strategy for trees whose weight core is a
   single vertex: find one host vertex with enough out- and in-degree, or
   split the host into degree classes and finish through round-the-back
@@ -84,8 +81,6 @@ __all__ = [
     "extend_one_by_one",
     "component_by_component",
     "dual_component_by_component",
-    "is_almost_regular",
-    "almost_regular_subtournament",
     "embed_star_shaped",
     "portfolio_embed",
     "directed_path_order",
@@ -608,86 +603,6 @@ def dual_component_by_component(inst: TwoSetInstance) -> dict[int, int]:
         seed=inst.seed,
     )
     return component_by_component(rev)
-
-
-# ---------------------------------------------------------------------------
-# Almost-regular tournaments
-
-def is_almost_regular(G: Tournament, gamma: Fraction | int | float | str) -> bool:
-    """True when every vertex has in- and out-degree ≥ (1-γ)(n-1)/2."""
-    g = as_fraction(gamma)
-    bound = (1 - g) * Fraction(G.n - 1, 2)
-    return all(
-        G.out_deg(v) >= bound and G.in_deg(v) >= bound for v in range(G.n)
-    )
-
-
-def _exceeds_sqrt(value: int, alpha: Fraction, scale: int) -> bool:
-    """Exact test for value > sqrt(alpha) * scale (value, scale >= 0)."""
-    if value < 0:
-        return False
-    return Fraction(value * value) > alpha * scale * scale
-
-
-def almost_regular_subtournament(
-    G: Tournament,
-    alpha: Fraction | int | float | str,
-    case: str,
-    gamma: Fraction | int | float | str,
-) -> int:
-    """Extract a large almost-regular subtournament under a degree bound.
-
-    The four admissible hypotheses, each checked exactly for every
-    vertex (n = |G|):
-
-    * case "i":   d⁺(v) >= (1-α)(n-1)/2     * case "ii":  d⁻(v) >= (1-α)(n-1)/2
-    * case "iii": d⁺(v) <= (1+α)(n-1)/2     * case "iv":  d⁻(v) <= (1+α)(n-1)/2
-
-    Cases i/iv delete every vertex with d⁺(v) > (1+√α)(n-1)/2; cases
-    ii/iii delete on d⁻ instead (the complement degree turns each bound
-    into the matching one-sided surplus).  The survivors are returned as
-    a vertex mask after verifying they number at least (1-γ)n and induce
-    a γ-almost-regular tournament; verification failure raises — it
-    means the parameters sit outside the regime the guarantee needs.
-    """
-    a = as_fraction(alpha)
-    g = as_fraction(gamma)
-    if case not in ("i", "ii", "iii", "iv"):
-        raise ValueError(f"unknown case {case!r}")
-    n = G.n
-    low = (1 - a) * Fraction(n - 1, 2)
-    high = (1 + a) * Fraction(n - 1, 2)
-    for v in range(n):
-        dp, dm = G.out_deg(v), G.in_deg(v)
-        ok = {
-            "i": dp >= low,
-            "ii": dm >= low,
-            "iii": dp <= high,
-            "iv": dm <= high,
-        }[case]
-        if not ok:
-            raise HypothesisViolation(
-                f"(case {case}): degree hypothesis fails at vertex {v} "
-                f"(d⁺={dp}, d⁻={dm}, bound {low if case in ('i', 'ii') else high})"
-            )
-    use_out = case in ("i", "iv")
-    keep = 0
-    for v in range(n):
-        deg = G.out_deg(v) if use_out else G.in_deg(v)
-        if not _exceeds_sqrt(2 * deg - (n - 1), a, n - 1):
-            keep |= 1 << v
-    if keep.bit_count() < (1 - g) * n:
-        raise GraphDefectError(
-            f"almost-regular extraction kept {keep.bit_count()} < (1-γ)n = "
-            f"{(1 - g) * n} vertices; α/γ outside the supported regime"
-        )
-    sub, _ = G.induced(keep)
-    if not is_almost_regular(sub, g):
-        raise GraphDefectError(
-            "almost-regular extraction is not γ-almost-regular; "
-            "α/γ outside the supported regime"
-        )
-    return keep
 
 
 # ---------------------------------------------------------------------------

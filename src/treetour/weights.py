@@ -1,4 +1,4 @@
-"""Edge weights, component classification, core trees, and leading paths.
+"""Edge weights, component classification, and core trees.
 
 For a vertex x of an oriented tree T and an incident edge e, the weight
 w_e(x) is the number of vertices of the component of T - x attached
@@ -215,58 +215,3 @@ def _validate_core(T: DirectedTree, prof: WeightProfile, core: CoreTree) -> None
     for u, v in core.arcs:
         if core.delta * prof.edge_weight(u, v) < n or core.delta * prof.edge_weight(v, u) < n:
             raise GraphDefectError(f"core edge ({u}, {v}) has an end-weight below n/delta")
-
-
-# ---------------------------------------------------------------------------
-# Leading paths
-
-
-def leading_paths(T: DirectedTree, root: int, H: int, k: int) -> int:
-    """Close ``H`` under k-prefixes of root-ward paths at branch vertices.
-
-    P_x is the set of the first k vertices of the underlying path from x
-    toward ``root`` (starting with x).  The result starts from the union
-    of P_x over x in H and repeatedly adds P_x for every tree vertex x
-    with at least two children (root-ward orientation) in the current
-    set, until nothing changes; a branch point whose subtrees both meet
-    the set is therefore always pulled in, together with its root-ward
-    prefix.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (0 <= root < T.n):
-        raise ValueError(f"root {root} out of range")
-    if H >> T.n:
-        raise ValueError("H contains ids outside the tree")
-    parent = T.rooted(root).parent
-
-    prefix_cache: dict[int, int] = {}
-
-    def prefix(x: int) -> int:
-        got = prefix_cache.get(x)
-        if got is None:
-            got = 0
-            v = x
-            for _ in range(k):
-                got |= 1 << v
-                if parent[v] < 0:
-                    break
-                v = parent[v]
-            prefix_cache[x] = got
-        return got
-
-    cur = 0
-    for x in bits(H):
-        cur |= prefix(x)
-    while True:
-        nxt = cur
-        in_cur = [0] * T.n  # children of each vertex inside cur
-        for c in bits(cur):
-            if parent[c] >= 0:
-                in_cur[parent[c]] += 1
-        for x in range(T.n):
-            if in_cur[x] >= 2:
-                nxt |= prefix(x)
-        if nxt == cur:
-            return cur
-        cur = nxt

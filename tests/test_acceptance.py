@@ -19,8 +19,6 @@ Expect roughly ten minutes of wall time for the whole module.
 
 import time
 
-import pytest
-
 from treetour import (
     PropertyConfig,
     embed_outbranching,

@@ -1,16 +1,13 @@
-"""Robust out-expansion, expander splits, tournament decomposition,
-cluster densities, and the regularity falsifier.
+"""Robust out-expansion, expander splits, and tournament decomposition.
 
 Witnesses are recounted from scratch here: a non-expansion witness set S
-must really have a small robust out-neighbourhood, a split must really
-have few backward arcs, an irregular pair must really deviate from the
-base density.
+must really have a small robust out-neighbourhood, and a split must
+really have few backward arcs.
 """
 
 import math
 import random
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -26,19 +23,14 @@ from treetour import (
     is_robust_outexpander,
     make_expander_checker,
     non_expander_split,
-    regularity_falsifier,
     robust_out_neighbourhood,
     tournament_split,
 )
 from treetour.expansion import (
     EXPANDER,
-    IRREGULAR,
     NOT_EXPANDER,
     UNKNOWN,
-    ClusterDensities,
     ExpanderVerdict,
-    cluster_densities,
-    reduced_digraph,
 )
 from treetour.generate import (
     random_tournament,
@@ -477,97 +469,3 @@ def test_a_false_expander_classification_is_still_a_defect():
             Fraction(1, 3), Fraction(1, 3), Fraction(1, 20), Fraction(1, 5),
             lying,
         )
-
-
-# ---------------------------------------------------------------------------
-# Cluster densities and the reduced digraph
-
-
-def test_cluster_densities_of_planted_blocks():
-    G = two_block_tournament()
-    A, B = mask_of(range(11)), mask_of(range(11, 22))
-    cd = cluster_densities(G, [A, B])
-    assert cd.d[1][0] == 1 and cd.d[0][1] == 0
-    assert reduced_digraph(cd, Fraction(9, 10)) == [0, 0b01]
-
-
-def test_reduced_digraph_thresholds_densities():
-    complete = ClusterDensities(
-        k=3,
-        m=2,
-        d=tuple(
-            tuple(Fraction(1) if i < j else Fraction(0) for j in range(3))
-            for i in range(3)
-        ),
-    )
-    assert reduced_digraph(complete, Fraction(9, 10)) == [0b110, 0b100, 0]
-    half = ClusterDensities(
-        k=2, m=2, d=((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
-    )
-    assert reduced_digraph(half, Fraction(3, 5)) == [0, 0]
-
-
-# ---------------------------------------------------------------------------
-# Regularity falsifier
-
-
-def test_complete_one_way_pair_shows_no_violation():
-    arcs = [(u, w) for u in range(10) for w in range(10, 20)]
-    arcs += [(u, w) for u in range(10) for w in range(u + 1, 10)]
-    arcs += [(u, w) for u in range(10, 20) for w in range(u + 1, 20)]
-    G = Tournament.from_arcs(20, arcs)
-    v = regularity_falsifier(
-        G, mask_of(range(10)), mask_of(range(10, 20)), Fraction(1, 5), 500
-    )
-    assert v.status == "no_violation_found"
-
-
-def test_planted_half_blocks_are_caught_and_witnessed():
-    arcs = []
-    for u in range(10):
-        for w in range(10, 20):
-            if u < 5 and w < 15:
-                arcs.append((u, w))
-            else:
-                arcs.append((w, u))
-    arcs += [(u, w) for u in range(10) for w in range(u + 1, 10)]
-    arcs += [(u, w) for u in range(10, 20) for w in range(u + 1, 20)]
-    G = Tournament.from_arcs(20, arcs)
-    U, V = mask_of(range(10)), mask_of(range(10, 20))
-    v = regularity_falsifier(G, U, V, Fraction(1, 5), 500)
-    assert v.status == IRREGULAR
-    # recount the witness densities exactly
-    dev = abs(
-        Fraction(directed_edge_count(G, v.witness_U, v.witness_V),
-                 v.witness_U.bit_count() * v.witness_V.bit_count())
-        - v.base_density
-    )
-    assert dev > Fraction(1, 5)
-    assert v.witness_U.bit_count() >= Fraction(1, 5) * 10
-    assert v.witness_V.bit_count() >= Fraction(1, 5) * 10
-
-
-def test_falsifier_recheck_does_not_trust_density(monkeypatch):
-    # Every arc runs U -> V, so no pair of subsets deviates from the base
-    # density; a density() that invents a deviation must fail the recount.
-    arcs = [(u, w) for u in range(10) for w in range(10, 20)]
-    arcs += [(u, w) for u in range(10) for w in range(u + 1, 10)]
-    arcs += [(u, w) for u in range(10, 20) for w in range(u + 1, 20)]
-    G = Tournament.from_arcs(20, arcs)
-    U, V = mask_of(range(10)), mask_of(range(10, 20))
-    real = expansion.density
-
-    def lying(G, source, target):
-        return real(G, source, target) if (source, target) == (U, V) else Fraction(0)
-
-    monkeypatch.setattr(expansion, "density", lying)
-    with pytest.raises(GraphDefectError, match="recheck"):
-        regularity_falsifier(G, U, V, Fraction(1, 5), 500)
-
-
-def test_falsifier_is_deterministic():
-    G = random_tournament(30, seed=3)
-    U, V = mask_of(range(15)), mask_of(range(15, 30))
-    a = regularity_falsifier(G, U, V, Fraction(1, 10), 200)
-    b = regularity_falsifier(G, U, V, Fraction(1, 10), 200)
-    assert a == b

@@ -7,6 +7,8 @@ deliberately injected defect (negative control) and report failures with
 a nonzero exit code.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -521,3 +523,64 @@ def test_cli_env_overrides_seed(capsys, monkeypatch):
     assert code == 0
     assert env_out != default_out
     assert env_out == write_tournament(random_tournament(6, seed=9))
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE_FILES = sorted((_ROOT / "src" / "treetour").glob("*.py"))
+
+
+def _declared_all(tree: ast.Module) -> list[str] | None:
+    """The names in a module-level ``__all__ = [...]``, or None if absent."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imported names that nothing in the module uses.
+
+    A name counts as used when it is read anywhere in the module or is
+    listed in the module's ``__all__``.
+    """
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_declared_all(tree) or ())
+    return [name for name in imported if name not in used]
+
+
+def test_every_declared_export_resolves():
+    checked = []
+    for path in _PACKAGE_FILES:
+        names = _declared_all(ast.parse(path.read_text(encoding="utf-8")))
+        if names is None:
+            continue
+        module = (
+            treetour
+            if path.stem == "__init__"
+            else importlib.import_module(f"treetour.{path.stem}")
+        )
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        checked.append(module.__name__)
+    assert "treetour" in checked and "treetour.expansion" in checked
+
+
+def test_no_module_level_import_goes_unused():
+    files = _PACKAGE_FILES + sorted((_ROOT / "tests").glob("*.py"))
+    unused = {
+        path.relative_to(_ROOT).as_posix(): names
+        for path in files
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}

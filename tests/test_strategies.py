@@ -38,7 +38,6 @@ from treetour.generate import (
     enumerate_oriented_trees,
     enumerate_tournaments,
     inward_star,
-    outward_star,
     random_oriented_tree,
     random_tournament,
     rotational_regular_tournament,
@@ -51,11 +50,7 @@ from treetour.instances import (
     random_two_set_instance,
 )
 from treetour import search, strategies
-from treetour.strategies import (
-    almost_regular_subtournament,
-    directed_path_order,
-    is_almost_regular,
-)
+from treetour.strategies import directed_path_order
 
 
 def build_tournament(n, arc_fn):
@@ -293,33 +288,6 @@ def test_failed_placement_on_a_validated_instance_is_a_defect(monkeypatch, run, 
     with pytest.raises(GraphDefectError, match="placement failed on a validated instance") as err:
         run()
     assert str(err.value).startswith(where)
-
-
-# ---------------------------------------------------------------------------
-# Almost-regular subtournaments
-
-
-def test_regular_tournaments_are_almost_regular_at_zero_slack():
-    assert is_almost_regular(rotational_regular_tournament(3), 0)
-    assert is_almost_regular(rotational_regular_tournament(11), 0)
-
-
-def test_transitive_tournaments_are_far_from_regular():
-    assert not is_almost_regular(transitive_tournament(11), Fraction(1, 2))
-
-
-def test_extraction_recovers_the_regular_block():
-    rot = rotational_regular_tournament(101)
-
-    def arc_fn(i, j):
-        if j < 101:
-            return rot.has_arc(i, j)
-        return i >= 101  # five appended vertices beat the whole block
-
-    G = build_tournament(106, arc_fn)
-    keep = almost_regular_subtournament(G, Fraction(3, 50), "i", Fraction(3, 10))
-    assert keep == full_mask(101)
-    assert keep.bit_count() >= (1 - Fraction(3, 10)) * 106
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tree weights, component classification, core trees, leading paths.
+"""Tree weights, component classification, and core trees.
 
 Small fixed cases are hand-computed; randomized cases check exact
 identities (weights summing to n−1, complements summing to n) or
@@ -14,19 +14,11 @@ from treetour import (
     components_against,
     core_tree,
     edge_weight,
-    leading_paths,
     weight_profile,
 )
 from treetour.generate import directed_path, inward_star, outward_star, random_oriented_tree
 from treetour.graphs import GraphDefectError, bits, mask_of
 from treetour.weights import hanging_components
-
-
-def binary_tree(depth: int) -> DirectedTree:
-    """Complete binary tree, all arcs away from root 0; children 2i+1, 2i+2."""
-    inner = 2 ** depth - 1
-    arcs = [(i, 2 * i + 1) for i in range(inner)] + [(i, 2 * i + 2) for i in range(inner)]
-    return DirectedTree(2 ** (depth + 1) - 1, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,75 +238,3 @@ def test_core_survives_leaf_deletion_almost_entirely():
 def test_core_rejects_delta_below_two():
     with pytest.raises(ValueError):
         core_tree(directed_path(4), 1)
-
-
-# ---------------------------------------------------------------------------
-# Leading paths
-
-
-def test_leading_paths_of_root_is_root():
-    bt = binary_tree(4)
-    assert leading_paths(bt, 0, mask_of([0]), 3) == mask_of([0])
-
-
-def test_leading_paths_on_path_takes_k_prefix():
-    P = directed_path(5)
-    assert leading_paths(P, 0, mask_of([4]), 2) == mask_of([3, 4])
-    assert leading_paths(P, 0, mask_of([4]), 10) == mask_of([0, 1, 2, 3, 4])
-
-
-def test_leading_paths_pulls_in_branch_vertex_above_sibling_leaves():
-    bt = binary_tree(4)  # 31 vertices; leaves 15..30; 15,16 share parent 7
-    assert leading_paths(bt, 0, mask_of([15, 16]), 1) == mask_of([7, 15, 16])
-    assert leading_paths(bt, 0, mask_of([15, 16]), 2) == mask_of([3, 7, 15, 16])
-
-
-def test_leading_paths_matches_independent_fixed_point_iteration():
-    bt = binary_tree(4)
-    parent = {2 * i + 1: i for i in range(15)} | {2 * i + 2: i for i in range(15)}
-
-    def prefix(x: int, k: int) -> int:
-        out = 0
-        for _ in range(k):
-            out |= 1 << x
-            if x == 0:
-                break
-            x = parent[x]
-        return out
-
-    for H, k in [
-        (mask_of([15, 16, 29, 30]), 3),
-        (mask_of([17, 23, 28]), 2),
-        (mask_of([15, 22, 25, 30]), 1),
-    ]:
-        cur = 0
-        for x in bits(H):
-            cur |= prefix(x, k)
-        changed = True
-        while changed:
-            changed = False
-            for x in range(31):
-                kids = [c for c in (2 * x + 1, 2 * x + 2) if c < 31 and (cur >> c) & 1]
-                if len(kids) >= 2 and prefix(x, k) & ~cur:
-                    cur |= prefix(x, k)
-                    changed = True
-        assert leading_paths(bt, 0, H, k) == cur
-
-
-def test_leading_paths_contains_input_and_stays_inside_tree():
-    for seed in range(10):
-        T = random_oriented_tree(25, seed=400 + seed)
-        H = mask_of([seed % 25, (7 * seed + 3) % 25, (11 * seed + 9) % 25])
-        got = leading_paths(T, 0, H, 2)
-        assert H & ~got == 0
-        assert got >> T.n == 0
-
-
-def test_leading_paths_rejects_bad_arguments():
-    P = directed_path(4)
-    with pytest.raises(ValueError):
-        leading_paths(P, 0, mask_of([1]), 0)
-    with pytest.raises(ValueError):
-        leading_paths(P, 9, mask_of([1]), 1)
-    with pytest.raises(ValueError):
-        leading_paths(P, 0, mask_of([3]) | (1 << 9), 1)
