@@ -40,7 +40,6 @@ from .graphs import (
     as_fraction,
     canonical_form,
     degrees,
-    density,
     directed_edge_count,
     is_valid_embedding,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "as_fraction",
     "canonical_form",
     "degrees",
-    "density",
     "directed_edge_count",
     "is_valid_embedding",
     # formats

@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from .generate import stream
 from .graphs import (
@@ -162,7 +163,7 @@ def _lane_patterns(k: int) -> list[int]:
     return patterns
 
 
-def _lanes_at_least(members: int, patterns: list[int], every: int) -> list[int]:
+def _lanes_at_least(members: int, patterns: Sequence[int], every: int) -> list[int]:
     """Entry s: the lanes whose subset holds at least s of ``members``."""
     at_least = [every]
     for u in bits(members):
@@ -170,6 +171,19 @@ def _lanes_at_least(members: int, patterns: list[int], every: int) -> list[int]:
         for s in range(len(at_least) - 1, 0, -1):
             at_least[s] |= at_least[s - 1] & patterns[u]
     return at_least
+
+
+@lru_cache(maxsize=_LANE_BITS)
+def _lane_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The lane tables of a k-bit block, which depend on k alone: every
+    lane, the lane pattern of each low vertex, and entry s the lanes whose
+    subset has exactly s vertices.  The sweep uses k = 1 .. ``_LANE_BITS``,
+    so every k it meets stays cached."""
+    every = full_mask(1 << k)
+    patterns = tuple(_lane_patterns(k))
+    size_at_least = _lanes_at_least(full_mask(k), patterns, every) + [0]
+    size_lanes = tuple(size_at_least[s] ^ size_at_least[s + 1] for s in range(k + 1))
+    return every, patterns, size_lanes
 
 
 def _exact_expander_sweep(
@@ -197,14 +211,11 @@ def _exact_expander_sweep(
     if lo > hi or n == 0:
         return ExpanderVerdict(EXPANDER, "exact", mu, nu, samples=0)
     k = min(n, _LANE_BITS)
-    every = full_mask(1 << k)
-    patterns = _lane_patterns(k)
+    every, patterns, size_lanes = _lane_tables(k)
     need_tables = [
         _lanes_at_least(G.in_rows[v] & full_mask(k), patterns, every)
         for v in range(n)
     ]
-    size_at_least = _lanes_at_least(full_mask(k), patterns, every) + [0]
-    size_lanes = [size_at_least[s] ^ size_at_least[s + 1] for s in range(k + 1)]
     windows = []
     for h in range(n - k + 1):
         lanes = 0
@@ -421,7 +432,10 @@ def non_expander_split(
     by greedy repair, and every prefix of the out-degree order (ascending,
     ties by index) whose length lies in the window.  The candidate with
     the least ``(e(S→S′), S)`` is returned once its count is verified
-    against ``4μn²``.  If it exceeds the bound, raises
+    against ``4μn²``.  The repaired sets are counted directly; the prefix
+    counts are kept incrementally (adding w gains ``|out(w) ∖ S|`` and
+    loses ``|in(w) ∩ S|``), so all prefixes together cost O(n) row
+    popcounts.  If it exceeds the bound, raises
     :class:`SplitSearchExhausted` — the partition is guaranteed to exist
     asymptotically, but the search is not exhaustive.
     """
@@ -479,10 +493,18 @@ def non_expander_split(
 
     # repair() moves the witness and its complement into the strict
     # window; the degree-order prefixes lie in it by their length.
+    best_cost, best = min(
+        (cost(S), S) for S in (repair(witness), repair(every & ~witness))
+    )
+    # Prefix costs incrementally: adding w to S gains the arcs from w to
+    # the rest and loses the arcs from S into w.
     deg_order = sorted(range(n), key=lambda v: (G.out_deg(v), v))
-    candidates = [repair(witness), repair(every & ~witness)]
-    candidates += [mask_of(deg_order[:k]) for k in range(lo, hi + 1)]
-    best_cost, best = min((cost(S), S) for S in candidates)
+    S = forward = 0
+    for k, w in enumerate(deg_order[:hi], 1):
+        forward += (G.out_rows[w] & ~S).bit_count() - (G.in_rows[w] & S).bit_count()
+        S |= 1 << w
+        if k >= lo and (forward, S) < (best_cost, best):
+            best_cost, best = forward, S
     if best_cost <= bound:
         return best, every & ~best
     raise SplitSearchExhausted(
@@ -572,10 +594,18 @@ def tournament_split(
     undecided (checker Unknown or split search exhausted — classified
     ``"unknown"``), or smaller than γ·n.
 
-    Verified before returning: the pieces cover ≥ (1−γ)·n vertices; no
-    vertex has more than γ·n in-neighbours in later pieces or γ·n
-    out-neighbours in earlier pieces; expander-classified pieces
-    re-certify (exactly up to 20 vertices, sampled above).  Too little
+    Each distinct piece mask is computed once per call: a dict keyed by
+    the mask holds its induced subtournament, the ids of its vertices and
+    its minimum semidegree, and the loop's failure test, the split step
+    and the final classification all read from it (checker verdicts are
+    kept per mask the same way).
+
+    Verified before returning, independently of that cache: the pieces
+    cover ≥ (1−γ)·n vertices; no vertex has more than γ·n in-neighbours
+    in later pieces or γ·n out-neighbours in earlier pieces;
+    expander-classified pieces re-certify (exactly up to 20 vertices,
+    sampled above) on a subtournament and a semidegree recount that the
+    re-check builds itself.  Too little
     coverage, or a loop that hits its iteration cap, raises
     :class:`SplitRegimeError`; any other failed check raises
     :class:`GraphDefectError`.
@@ -586,7 +616,8 @@ def tournament_split(
     gamma_f = _check_unit_interval("gamma", gamma, closed_top=False)
     checker = expander_checker or make_expander_checker()
     n = G.n
-    eta_n = eta_f * n
+    # An integer degree is below η·n iff it is below ⌈η·n⌉.
+    eta_deg = _ceil(eta_f * n)
     gamma_n = gamma_f * n
     # Integerized deletion threshold ⌈√η·n⌉: smallest integer t with
     # t²·denominator ≥ n²·numerator, so the test below stays exact.
@@ -597,13 +628,20 @@ def tournament_split(
     pieces: list[int] = [full_mask(n)] if n else []
     bad: set[tuple[int, int]] = set()
     deleted = 0
+    # mask -> (induced subtournament, its vertices' ids in G, min semidegree)
+    piece_cache: dict[int, tuple[Tournament, list[int], int]] = {}
     verdict_cache: dict[int, ExpanderVerdict] = {}
     frozen: set[int] = set()
 
+    def piece(mask: int) -> tuple[Tournament, list[int], int]:
+        if mask not in piece_cache:
+            H, ids = G.induced(mask)
+            piece_cache[mask] = H, ids, _min_semidegree(H)
+        return piece_cache[mask]
+
     def piece_verdict(mask: int) -> ExpanderVerdict:
         if mask not in verdict_cache:
-            H, _ = G.induced(mask)
-            verdict_cache[mask] = checker(H, mu_f, nu_f)
+            verdict_cache[mask] = checker(piece(mask)[0], mu_f, nu_f)
         return verdict_cache[mask]
 
     def fails(mask: int) -> bool:
@@ -611,8 +649,7 @@ def tournament_split(
         size = mask.bit_count()
         if size < 2 or mask in frozen:
             return False
-        H, _ = G.induced(mask)
-        if _min_semidegree(H) < eta_n:
+        if piece(mask)[2] < eta_deg:
             return True
         return piece_verdict(mask).status == NOT_EXPANDER
 
@@ -624,16 +661,16 @@ def tournament_split(
         S = pieces[ell]
         if S.bit_count() < gamma_n:
             break
-        H, ids = G.induced(S)
-        low_out = [v for v in range(H.n) if H.out_deg(v) < eta_n]
-        low_in = [v for v in range(H.n) if H.in_deg(v) < eta_n]
-        if low_out:
-            v = ids[low_out[0]]
+        H, ids, _ = piece(S)
+        low_out = next((v for v in range(H.n) if H.out_deg(v) < eta_deg), None)
+        low_in = next((v for v in range(H.n) if H.in_deg(v) < eta_deg), None)
+        if low_out is not None:
+            v = ids[low_out]
             rest = S & ~(1 << v)
             pieces[ell : ell + 1] = [rest, 1 << v]
             bad.update((v, u) for u in bits(G.out_rows[v] & rest))
-        elif low_in:
-            v = ids[low_in[0]]
+        elif low_in is not None:
+            v = ids[low_in]
             rest = S & ~(1 << v)
             pieces[ell : ell + 1] = [1 << v, rest]
             bad.update((u, v) for u in bits(G.in_rows[v] & rest))
@@ -677,9 +714,8 @@ def tournament_split(
             classification.append(SMALL)
             verdicts.append(None)
             continue
-        H, _ = G.induced(p)
         verdict = piece_verdict(p)
-        if verdict.status == EXPANDER and _min_semidegree(H) >= eta_n:
+        if verdict.status == EXPANDER and piece(p)[2] >= eta_deg:
             classification.append(EXPANDER)
             verdicts.append(verdict)
         else:

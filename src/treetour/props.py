@@ -53,7 +53,6 @@ from .graphs import (
     bits,
     canonical_form,
     degrees,
-    density,
     full_mask,
     is_valid_embedding,
     mask_of,
@@ -391,28 +390,6 @@ def _reverse_involution(config, col):
                 f"case{i}",
                 "non-injective map accepted as an embedding",
             )
-    return cases
-
-
-@_suite("density-complement")
-def _density_complement(config, col):
-    rng = stream(config.seed, "props:density-complement")
-    cases = _cases(1000, config)
-    for i in range(cases):
-        if col.full:
-            return i
-        n = 2 + rng.next_below(31)
-        G = random_tournament(n, rng.next64())
-        cut = 1 + rng.next_below(n - 1)
-        perm = _random_perm(rng, n)
-        A = mask_of(perm[:cut])
-        B = mask_of(perm[cut:])
-        col.check(
-            density(G, A, B) + density(G, B, A) == 1,
-            f"case{i}:n={n}",
-            "arc densities across a bipartition do not sum to 1",
-            tournament=G,
-        )
     return cases
 
 

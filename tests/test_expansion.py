@@ -5,6 +5,8 @@ must really have a small robust out-neighbourhood, and a split must
 really have few backward arcs.
 """
 
+import hashlib
+import json
 import math
 import random
 import sys
@@ -254,12 +256,15 @@ def test_verdicts_are_deterministic():
 def _least_candidate(G, mu, nu):
     """Recount the split rule: the least (forward arcs, mask) among the
     witness and its complement, each repaired into the strict size window,
-    and the out-degree-order prefixes whose length lies in that window."""
+    and the out-degree-order prefixes whose length lies in that window.
+    None when no size lies in the window."""
     n = G.n
     every = full_mask(n)
     mode = "exact" if n <= 20 else "sampled"
     witness = is_robust_outexpander(G, mu, nu, mode, 1000, seed=0).witness
     sizes = [k for k in range(1, n) if nu * n < k < (1 - nu) * n]
+    if not sizes:
+        return None
 
     def forward(S):
         return sum((G.out_rows[u] & ~S).bit_count() for u in bits(S))
@@ -275,7 +280,7 @@ def _least_candidate(G, mu, nu):
     order = sorted(range(n), key=lambda v: (bin(G.out_rows[v]).count("1"), v))
     candidates = [repaired(witness), repaired(every & ~witness)]
     candidates += [mask_of(order[:k]) for k in sizes]
-    return min((forward(S), S) for S in candidates)[1]
+    return min((forward(S), S) for S in candidates)
 
 
 def test_split_of_transitive_has_few_backward_arcs():
@@ -283,7 +288,7 @@ def test_split_of_transitive_has_few_backward_arcs():
     S, Sp = non_expander_split(G, Fraction(1, 20), Fraction(1, 5))
     assert S | Sp == full_mask(20) and S & Sp == 0
     assert directed_edge_count(G, S, Sp) <= 4 * Fraction(1, 20) * 400
-    assert S == _least_candidate(G, Fraction(1, 20), Fraction(1, 5))
+    assert S == _least_candidate(G, Fraction(1, 20), Fraction(1, 5))[1]
 
 
 def test_split_recovers_planted_blocks():
@@ -291,7 +296,46 @@ def test_split_recovers_planted_blocks():
     S, Sp = non_expander_split(G, Fraction(1, 25), Fraction(3, 10))
     assert directed_edge_count(G, S, Sp) <= 4 * Fraction(1, 25) * 484
     assert S == mask_of(range(11))  # the dominated block
-    assert S == _least_candidate(G, Fraction(1, 25), Fraction(3, 10))
+    assert S == _least_candidate(G, Fraction(1, 25), Fraction(3, 10))[1]
+
+
+def _split_hosts():
+    for n in range(10, 41):
+        for seed in range(4):
+            yield random_tournament(n, seed=seed)
+    for n, blocks in ((12, 2), (16, 3), (20, 2), (24, 3), (30, 2), (30, 3), (40, 2), (40, 3)):
+        for seed in range(3):
+            yield _transitive_blow_up(n, blocks, 7 * n + seed)
+    for n in range(4, 41, 4):
+        yield transitive_tournament(n)
+
+
+def test_split_matches_the_recounted_least_candidate():
+    # The CLI parameters, a wider window, and a window with no integer
+    # size (ν = 1/2); then tiny random hosts at μ = 1/100, where the least
+    # candidate can exceed 4μn².
+    runs = [(G, mu, nu) for G in _split_hosts()
+            for mu, nu in ((Fraction(1, 20), Fraction(1, 20)),
+                           (Fraction(1, 10), Fraction(1, 5)),
+                           (Fraction(1, 4), Fraction(1, 2)))]
+    runs += [(random_tournament(n, seed=seed), Fraction(1, 100), Fraction(1, 3))
+             for n in range(6, 10) for seed in range(5)]
+    tally = {"split": 0, "no size": 0, "over bound": 0}
+    for G, mu, nu in runs:
+        mode = "exact" if G.n <= 20 else "sampled"
+        if is_robust_outexpander(G, mu, nu, mode, 1000, seed=0).status != NOT_EXPANDER:
+            continue
+        least = _least_candidate(G, mu, nu)
+        if least is not None and least[0] <= 4 * mu * G.n ** 2:
+            S, Sp = non_expander_split(G, mu, nu)
+            assert S == least[1], (G.n, mu, nu)
+            assert Sp == full_mask(G.n) & ~S
+            tally["split"] += 1
+        else:
+            with pytest.raises(SplitSearchExhausted):
+                non_expander_split(G, mu, nu)
+            tally["no size" if least is None else "over bound"] += 1
+    assert tally["split"] >= 200 and tally["no size"] and tally["over bound"], tally
 
 
 def test_split_refuses_certified_expanders():
@@ -374,48 +418,109 @@ def test_random_decompositions_satisfy_postconditions():
         assert set(res.bad_edges) == recount
 
 
+CLI_SPLIT_PARAMETERS = (Fraction(1, 20), Fraction(1, 20), Fraction(1, 50), Fraction(1, 5))
+
+
+def _planted_blow_ups():
+    for n, blocks in ((30, 2), (30, 3), (40, 2), (40, 3), (60, 2), (60, 3), (60, 4)):
+        for seed in range(3):
+            yield _transitive_blow_up(n, blocks, 100 * n + seed)
+
+
 def test_planted_blow_ups_split_and_satisfy_postconditions():
     # Beside the split-postconditions suite, not in it: these hosts have
     # planted non-expanders, and the checker is the CLI's (exact up to 20
     # vertices, 1000 samples above), so pieces really split, and with two
     # 30-vertex blocks bad arcs and deletions appear.
-    mu, nu, eta, gamma = Fraction(1, 20), Fraction(1, 20), Fraction(1, 50), Fraction(1, 5)
+    mu, nu, eta, gamma = CLI_SPLIT_PARAMETERS
     checker = make_expander_checker(20, 1000, 0)
     cases = split = 0
     deleted = bad = 0
-    for n, blocks in ((30, 2), (30, 3), (40, 2), (40, 3), (60, 2), (60, 3), (60, 4)):
-        for seed in range(3):
-            G = _transitive_blow_up(n, blocks, 100 * n + seed)
-            res = tournament_split(G, mu, nu, eta, gamma, checker)
-            cases += 1
-            split += len(res.pieces) >= 2
-            deleted += res.deleted != 0
-            bad += bool(res.bad_edges)
-            covered = 0
-            for p in res.pieces:
-                assert p and p & covered == 0
-                covered |= p
-            assert covered & res.deleted == 0
-            assert covered | res.deleted == full_mask(n)
-            assert covered.bit_count() >= (1 - gamma) * n
-            recount = set()
-            later = covered
-            for i, p in enumerate(res.pieces):
-                later &= ~p
-                for u in bits(later):
-                    recount.update((u, v) for v in bits(G.out_rows[u] & p))
-                for v in bits(p):
-                    assert (G.in_rows[v] & later).bit_count() <= gamma * n
-                    assert (G.out_rows[v] & (covered & ~later & ~p)).bit_count() <= gamma * n
-            assert recount <= set(res.bad_edges)
-            for p, label in zip(res.pieces, res.classification):
-                if label == "small":
-                    assert p.bit_count() < gamma * n
-                elif label == EXPANDER and p.bit_count() <= 15:
-                    H, _ = G.induced(p)
-                    assert _reference_exact_sweep(H, mu, nu).status == EXPANDER
+    for G in _planted_blow_ups():
+        n = G.n
+        res = tournament_split(G, mu, nu, eta, gamma, checker)
+        cases += 1
+        split += len(res.pieces) >= 2
+        deleted += res.deleted != 0
+        bad += bool(res.bad_edges)
+        covered = 0
+        for p in res.pieces:
+            assert p and p & covered == 0
+            covered |= p
+        assert covered & res.deleted == 0
+        assert covered | res.deleted == full_mask(n)
+        assert covered.bit_count() >= (1 - gamma) * n
+        recount = set()
+        later = covered
+        for i, p in enumerate(res.pieces):
+            later &= ~p
+            for u in bits(later):
+                recount.update((u, v) for v in bits(G.out_rows[u] & p))
+            for v in bits(p):
+                assert (G.in_rows[v] & later).bit_count() <= gamma * n
+                assert (G.out_rows[v] & (covered & ~later & ~p)).bit_count() <= gamma * n
+        assert recount <= set(res.bad_edges)
+        for p, label in zip(res.pieces, res.classification):
+            if label == "small":
+                assert p.bit_count() < gamma * n
+            elif label == EXPANDER and p.bit_count() <= 15:
+                H, _ = G.induced(p)
+                assert _reference_exact_sweep(H, mu, nu).status == EXPANDER
     assert split >= 0.8 * cases
     assert deleted and bad
+
+
+# sha256 of every split below, recorded before each piece's subtournament
+# was cached: pieces, classification, each verdict's status, witness and
+# samples, bad arcs and deletions, or the regime postcondition raised.
+SPLIT_DIGEST = "c26314ced1dc452b65053b0eac06fd6a5169c18f2af93636529069ba210e9fcb"
+
+
+def test_split_builds_each_piece_once_and_keeps_its_results(monkeypatch):
+    hosts = list(_planted_blow_ups())
+    hosts += [random_tournament(n, s) for n in range(20, 29) for s in range(3)]
+    built = []  # the masks of one split, outside the final re-check
+    rechecked = []
+    induced = Tournament.induced
+    verify = expansion._verify_split
+
+    def counting_induced(G, subset):
+        built.append(subset)
+        return induced(G, subset)
+
+    def uncounted_verify(G, result):
+        start = len(built)
+        try:
+            return verify(G, result)
+        finally:
+            rechecked.extend(built[start:])
+            del built[start:]
+
+    monkeypatch.setattr(Tournament, "induced", counting_induced)
+    monkeypatch.setattr(expansion, "_verify_split", uncounted_verify)
+    digest = hashlib.sha256()
+    regimes = 0
+    for G in hosts:
+        built.clear()
+        try:
+            res = tournament_split(G, *CLI_SPLIT_PARAMETERS, make_expander_checker(20, 1000, 0))
+        except SplitRegimeError as error:
+            record = ["regime", error.postcondition]
+            regimes += 1
+        else:
+            record = [
+                list(res.pieces),
+                list(res.classification),
+                [v and [v.status, v.witness, v.samples] for v in res.verdicts],
+                sorted(res.bad_edges),
+                res.deleted,
+            ]
+        assert built and len(built) == len(set(built)), G.n
+        digest.update(json.dumps(record).encode())
+    # The re-check still builds its own subtournaments.
+    assert rechecked
+    assert 0 < regimes < len(hosts)
+    assert digest.hexdigest() == SPLIT_DIGEST
 
 
 def test_splits_of_planted_hosts_compute_no_median_order():

@@ -20,7 +20,6 @@ from treetour import (
     Tournament,
     canonical_form,
     degrees,
-    density,
     directed_edge_count,
     forward_arc_count,
     is_valid_embedding,
@@ -33,7 +32,14 @@ from treetour.generate import (
     rotational_regular_tournament,
     transitive_tournament,
 )
-from treetour.graphs import CANONICAL_MAX_N, bits, full_mask, mask_of, transpose_rows
+from treetour.graphs import (
+    CANONICAL_MAX_N,
+    bit_list,
+    bits,
+    full_mask,
+    mask_of,
+    transpose_rows,
+)
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -203,6 +209,39 @@ def test_induced_preserves_arc_directions():
     assert H.has_arc(1, 0)  # original arc 2->0
 
 
+def _reference_induced(G, subset):
+    """The per-bit induced subtournament that the string compress replaced,
+    kept verbatim as the reference."""
+    keep = bit_list(subset)
+    index = {v: i for i, v in enumerate(keep)}
+    rows = []
+    for v in keep:
+        row = 0
+        for w in bits(G.out_rows[v] & subset):
+            row |= 1 << index[w]
+        rows.append(row)
+    return Tournament(len(keep), rows, _trusted=True), keep
+
+
+def test_induced_matches_the_per_bit_reference():
+    rng = random.Random(14)
+    cases = 0
+    for n in range(1, 81):
+        for seed in range(2):
+            G = random_tournament(n, seed=1000 * n + seed)
+            subsets = [0, full_mask(n), 1 << rng.randrange(n)]
+            subsets += [rng.getrandbits(n) for _ in range(3)]
+            for subset in subsets:
+                H, ids = G.induced(subset)
+                ref, ref_ids = _reference_induced(G, subset)
+                assert ids == ref_ids, (n, subset)
+                assert H.n == ref.n == subset.bit_count()
+                assert H.out_rows == ref.out_rows, (n, subset)
+                assert H.in_rows == ref.in_rows, (n, subset)
+                cases += 1
+    assert cases == 80 * 2 * 6
+
+
 def test_reverse_is_an_involution_and_flips_arcs():
     R = CYCLE3.reverse()
     assert R.has_arc(1, 0) and R.has_arc(2, 1) and R.has_arc(0, 2)
@@ -252,23 +291,18 @@ def test_valid_embedding_spanning_path_in_transitive():
 
 
 # ---------------------------------------------------------------------------
-# Directed edge counts and density
+# Directed edge counts
 
 
-def test_edge_count_and_density_on_transitive_halves():
+def test_edge_count_on_transitive_halves():
     G = transitive_tournament(4)
     U, V = mask_of([0, 1]), mask_of([2, 3])
     assert directed_edge_count(G, U, V) == 4
-    assert density(G, U, V) == 1
 
 
-def test_edge_count_and_density_on_cycle():
+def test_edge_count_on_cycle():
     U, V = mask_of([0]), mask_of([1, 2])
     assert directed_edge_count(CYCLE3, U, V) == 1
-    assert density(CYCLE3, U, V) == pytest.approx(0.5)
-    from fractions import Fraction
-
-    assert density(CYCLE3, U, V) == Fraction(1, 2)
 
 
 def test_edge_count_complement_identity():
@@ -293,11 +327,6 @@ def test_edge_count_matches_naive_recount_with_overlap():
         if u != v and G.has_arc(u, v)
     )
     assert directed_edge_count(G, U, V) == naive
-
-
-def test_density_of_empty_side_raises():
-    with pytest.raises(ValueError):
-        density(CYCLE3, 0, 0b110)
 
 
 # ---------------------------------------------------------------------------
