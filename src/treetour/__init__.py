@@ -12,8 +12,8 @@ orientation of a tree.  This package provides:
   a greedy embedder (:mod:`treetour.search`);
 - structured embedding strategies built from finite embedding lemmas:
   round-the-back, one-by-one extension, component-by-component extension,
-  a star-shaped-tree strategy, and a portfolio driver over greedy, path,
-  branching and complete search (:mod:`treetour.strategies`);
+  and a portfolio driver over greedy, path, branching and complete search
+  (:mod:`treetour.strategies`);
 - robust outexpander verdicts, non-expander splits, and a tournament
   decomposition into expander/small pieces (:mod:`treetour.expansion`);
 - deterministic seeded generators, exhaustive enumeration up to
@@ -47,9 +47,7 @@ from .formats import parse_tournament, parse_tree, write_tournament, write_tree
 from .weights import (
     CoreTree,
     WeightProfile,
-    components_against,
     core_tree,
-    edge_weight,
     weight_profile,
 )
 from .search import (
@@ -78,7 +76,6 @@ from .strategies import (
     TwoSetInstance,
     component_by_component,
     dual_component_by_component,
-    embed_star_shaped,
     extend_one_by_one,
     portfolio_embed,
     round_the_back,
@@ -139,9 +136,7 @@ __all__ = [
     # weights
     "CoreTree",
     "WeightProfile",
-    "components_against",
     "core_tree",
-    "edge_weight",
     "weight_profile",
     # search
     "EmbedOutcome",
@@ -167,7 +162,6 @@ __all__ = [
     "TwoSetInstance",
     "component_by_component",
     "dual_component_by_component",
-    "embed_star_shaped",
     "extend_one_by_one",
     "portfolio_embed",
     "round_the_back",

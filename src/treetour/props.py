@@ -84,7 +84,7 @@ from .strategies import (
     portfolio_embed,
     round_the_back,
 )
-from .weights import components_against, core_tree, weight_profile
+from .weights import core_tree, hanging_components, weight_profile
 
 __all__ = [
     "PropertyConfig",
@@ -636,7 +636,7 @@ def _weight_identities(config, col):
             tree=T,
         )
         C = _ball(T, rng.next_below(n), 1 + rng.next_below(n - 1))
-        comps = components_against(T, C)
+        comps = [(h.comp, h.direction) for h in hanging_components(T, C)]
         masks = [c for c, _ in comps]
         covered = 0
         ok_disjoint = True

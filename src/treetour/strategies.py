@@ -27,17 +27,11 @@ Contents:
 * ``component_by_component`` (and its dual) — embeds a tree split into
   forests ``F⁻``/``F⁺`` (all cross arcs ``F⁻ → F⁺``) across a host
   bipartition ``Y``/``Z`` with few ``Y → Z`` arcs.
-* ``embed_star_shaped`` — the strategy for trees whose weight core is a
-  single vertex: find one host vertex with enough out- and in-degree, or
-  split the host into degree classes and finish through round-the-back
-  (wide branch) or an outbranching (narrow branch).  Each root-seeded
-  extension relabels its region and runs variant ``c`` of the one-by-one
-  extension through one helper.
 * ``portfolio_embed`` — the dispatch driver: greedy, path and
   out-/in-branching specialisations, then complete search on hosts of at
   most ``EXHAUSTIVE_MAX_N`` vertices.  NotFound is only ever produced by
-  a completed exhaustive search.  The star-shaped and two-set procedures
-  are public but not dispatched: no instance found so far needs them.
+  a completed exhaustive search.  The lemma procedures above are public
+  but not dispatched: no instance found so far needs them.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ from .search import (
     greedy_embed,
     redei_path,
 )
-from .weights import core_tree, hanging_components, tree_components, weight_profile
+from .weights import hanging_components, tree_components
 
 __all__ = [
     "RoundTheBackInstance",
@@ -81,7 +75,6 @@ __all__ = [
     "extend_one_by_one",
     "component_by_component",
     "dual_component_by_component",
-    "embed_star_shaped",
     "portfolio_embed",
     "directed_path_order",
 ]
@@ -606,222 +599,6 @@ def dual_component_by_component(inst: TwoSetInstance) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Star-shaped strategy
-
-def _extend_from_root(
-    T: DirectedTree, mask: int, t: int, G: Tournament, region: int, v: int
-) -> dict[int, int]:
-    """Embed T[mask] into G[region] with t on v, by variant-c extension.
-
-    Relabels the subtree and the region, seeds t on v, extends one by one
-    and maps the result back to the ids of T and G.  Raises
-    :class:`HypothesisViolation` when the extension's hypotheses fail.
-    """
-    host, old_hosts = G.induced(region)
-    sub, old = _extract_subtree(T, mask)
-    t_new, v_new = old.index(t), old_hosts.index(v)
-    got = extend_one_by_one(
-        OneByOneInstance(
-            T=sub,
-            T_c=1 << t_new,
-            seed={t_new: v_new},
-            G=host,
-            S=1 << v_new,
-            N=full_mask(host.n) & ~(1 << v_new),
-            variant="c",
-        )
-    )
-    return {old[i]: old_hosts[h] for i, h in got.items()}
-
-
-def _star_phase_one(
-    T: DirectedTree, G: Tournament, t: int, v: int, t1_mask: int, t2_mask: int
-) -> dict[int, int] | None:
-    """Embed t at v, out-branches in N⁺(v), in-branches in N⁻(v)."""
-    phi: dict[int, int] = {t: v}
-    for mask, row in ((t1_mask, G.out_rows[v]), (t2_mask, G.in_rows[v])):
-        if mask == 1 << t:
-            continue
-        try:
-            phi.update(_extend_from_root(T, mask, t, G, row | (1 << v), v))
-        except HypothesisViolation:
-            return None
-    return phi
-
-
-def _star_branch_wide(
-    T: DirectedTree,
-    G: Tournament,
-    t: int,
-    y: int,
-    Y: int,
-    t1_mask: int,
-    t2_mask: int,
-    notes: list[str],
-) -> dict[int, int] | None:
-    """Root the out-side inside Y via round-the-back, then add the in-side."""
-    cand = next(
-        (u for u in bits(Y) if (G.out_rows[u] & Y).bit_count() >= y), None
-    )
-    if cand is None:
-        notes.append("wide branch: no Y-vertex with y out-neighbours in Y")
-        return None
-    n_prime = first_bits(G.out_rows[cand] & Y, y)
-    host, old_hosts = G.induced(Y)
-    host_index = {g: i for i, g in enumerate(old_hosts)}
-    sub1, old1 = _extract_subtree(T, t1_mask)
-    n_prime_new = mask_of(host_index[u] for u in bits(n_prime))
-    v_new = host_index[cand]
-    x_new = full_mask(host.n) & ~(1 << v_new) & ~n_prime_new
-    inst = RoundTheBackInstance(
-        T=sub1, t=old1.index(t), G=host, v=v_new, N=n_prime_new, X=x_new
-    )
-    try:
-        got1 = round_the_back(inst)
-    except HypothesisViolation as exc:
-        notes.append(f"wide branch: {exc}")
-        return None
-    phi: dict[int, int] = {old1[i]: old_hosts[h] for i, h in got1.items()}
-    if t2_mask == 1 << t:
-        return phi
-    region = (full_mask(G.n) & ~mask_of(phi.values())) | (1 << phi[t])
-    try:
-        phi.update(_extend_from_root(T, t2_mask, t, G, region, phi[t]))
-    except HypothesisViolation as exc:
-        notes.append(f"wide branch, in-side: {exc}")
-        return None
-    return phi
-
-
-def _star_branch_narrow(
-    T: DirectedTree,
-    G: Tournament,
-    t: int,
-    Y: int,
-    notes: list[str],
-) -> dict[int, int] | None:
-    """Plant the out-reachable subtree in G[Y], then extend one by one."""
-    t3_mask = 1 << t
-    frontier = [t]
-    while frontier:
-        u = frontier.pop()
-        for w in T.out_nbrs[u]:
-            if not (t3_mask >> w) & 1:
-                t3_mask |= 1 << w
-                frontier.append(w)
-    sub3, old3 = _extract_subtree(T, t3_mask)
-    if Y.bit_count() < 2 * sub3.n - 2:
-        notes.append("narrow branch: Y too small for the outbranching step")
-        return None
-    host, old_hosts = G.induced(Y)
-    out3 = embed_outbranching(sub3, host)
-    if not out3.found:
-        notes.append("narrow branch: outbranching placement failed")
-        return None
-    assert out3.embedding is not None
-    phi: dict[int, int] = {
-        old3[i]: old_hosts[h] for i, h in out3.embedding.items()
-    }
-    if t3_mask == full_mask(T.n):
-        return phi
-    image = mask_of(phi.values())
-    inst = OneByOneInstance(
-        T=T,
-        T_c=t3_mask,
-        seed=phi,
-        G=G,
-        S=image,
-        N=full_mask(G.n) & ~image,
-        variant="c",
-    )
-    try:
-        return extend_one_by_one(inst)
-    except HypothesisViolation as exc:
-        notes.append(f"narrow branch: {exc}")
-        return None
-
-
-STAR_WIDE_ALPHA = Fraction(1, 4)
-
-
-def embed_star_shaped(T: DirectedTree, G: Tournament, delta: int) -> EmbedOutcome:
-    """Embedding strategy for trees whose weight core is one vertex.
-
-    Phase one scans for a host vertex ``v`` with out-degree at least
-    ``y + 2n/Δ`` (``y`` = total size of the root's out-branches; waived
-    when ``y = 0``) and the mirrored in-degree bound; the root goes to
-    ``v`` and the branches extend one by one inside ``N⁺(v)``/``N⁻(v)``.
-    Phase two splits the host into the low-out-degree class ``Y`` and its
-    complement, reverses everything if needed so ``|Y| >= 2y`` with
-    ``y >= 1``, then either roots the out-side inside ``Y`` via
-    round-the-back (wide branch, preferred when ``y >= α·n`` with
-    ``α = STAR_WIDE_ALPHA = 1/4``) or plants
-    the out-reachable subtree with the outbranching embedder and extends
-    one by one (narrow branch).  Strategy failure — some hypothesis
-    refusing to validate at this scale — returns BudgetExhausted; every
-    Found embedding is verified.
-    """
-    core = core_tree(T, delta)
-    if core.size != 1:
-        raise ValueError(
-            f"star-shaped strategy needs a single-vertex core, got {core.size}"
-        )
-    if G.n < 2 * T.n - 2:
-        raise ValueError(
-            f"host has {G.n} vertices; needs at least 2|T|-2 = {2 * T.n - 2}"
-        )
-    notes: list[str] = []
-    n = T.n
-    slack = Fraction(2 * n, delta)
-
-    def finish(phi: dict[int, int], label: str) -> EmbedOutcome:
-        if not is_valid_embedding(T, G, phi):
-            raise GraphDefectError(f"star-shaped {label} produced an invalid map")
-        notes.append(label)
-        return EmbedOutcome(FOUND, phi, 0, "star_shaped", tuple(notes))
-
-    for T_op, G_op, tag in ((T, G, "forward"), (T.reverse(), G.reverse(), "reversed")):
-        prof = weight_profile(T_op)
-        t = lsb(core_tree(T_op, delta).vertices)
-        y = prof.out_weight[t]
-        z = prof.in_weight[t]
-        t1_mask = 1 << t
-        t2_mask = 1 << t
-        for h in hanging_components(T_op, 1 << t):
-            if h.direction == "out":
-                t1_mask |= h.comp
-            else:
-                t2_mask |= h.comp
-        if tag == "forward":
-            for v in range(G_op.n):
-                if (y == 0 or G_op.out_deg(v) >= y + slack) and (
-                    z == 0 or G_op.in_deg(v) >= z + slack
-                ):
-                    phi = _star_phase_one(T_op, G_op, t, v, t1_mask, t2_mask)
-                    if phi is not None:
-                        return finish(phi, f"phase one at host vertex {v}")
-            notes.append("phase one: no host vertex meets both degree bounds")
-        Y = 0
-        for v in range(G_op.n):
-            if G_op.out_deg(v) < y + slack:
-                Y |= 1 << v
-        if y < 1 or Y.bit_count() < 2 * y:
-            notes.append(
-                f"{tag}: degree-class split unusable (y={y}, |Y|={Y.bit_count()})"
-            )
-            continue
-        branches = ["wide", "narrow"] if y >= STAR_WIDE_ALPHA * n else ["narrow", "wide"]
-        for branch in branches:
-            if branch == "wide":
-                phi = _star_branch_wide(T_op, G_op, t, y, Y, t1_mask, t2_mask, notes)
-            else:
-                phi = _star_branch_narrow(T_op, G_op, t, Y, notes)
-            if phi is not None:
-                return finish(phi, f"{tag} {branch} branch")
-    return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "star_shaped", tuple(notes))
-
-
-# ---------------------------------------------------------------------------
 # Portfolio driver
 
 def directed_path_order(T: DirectedTree) -> list[int] | None:
@@ -868,9 +645,9 @@ def portfolio_embed(
     :class:`GraphDefectError` on an invalid one, and the Rédei-path map,
     built here, is checked here.  Campaigns re-check independently.
 
-    The star-shaped and two-set procedures are not stages: no campaign,
-    benchmark workload or greedy-defeating host search reached an
-    instance that they solved and the stages before them did not.
+    The lemma procedures are not stages: no campaign, benchmark workload
+    or greedy-defeating host search reached an instance that they solved
+    and the stages before them did not.
     """
     notes: list[str] = []
     nodes = 0

@@ -59,20 +59,6 @@ def weight_profile(T: DirectedTree) -> WeightProfile:
     return WeightProfile(T.n, side, tuple(in_w), tuple(out_w))
 
 
-def edge_weight(T: DirectedTree, x: int, e: tuple[int, int]) -> int:
-    """w_e(x): size of the component of T - x attached through edge ``e``."""
-    a, b = e
-    if x == a:
-        y = b
-    elif x == b:
-        y = a
-    else:
-        raise ValueError(f"edge {e} is not incident to vertex {x}")
-    if y not in T.neighbours(x):
-        raise ValueError(f"{e} is not an edge of the tree")
-    return weight_profile(T).edge_weight(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Components against a subtree
 
@@ -144,18 +130,6 @@ def _check_connected(T: DirectedTree, subset: int) -> None:
         raise ValueError("subset must be nonempty")
     if len(tree_components(T, subset)) != 1:
         raise ValueError("subset does not induce a connected subtree")
-
-
-def components_against(T: DirectedTree, C: int) -> list[tuple[int, str]]:
-    """Components of T - C with their in/out classification.
-
-    Each component of T - C meets C through exactly one tree edge; the
-    component is classified ``"in"`` if that arc is directed toward C and
-    ``"out"`` if directed away from C.  Components are listed by smallest
-    member id.
-    """
-    _check_connected(T, C)
-    return [(h.comp, h.direction) for h in hanging_components(T, C)]
 
 
 # ---------------------------------------------------------------------------

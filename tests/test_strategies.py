@@ -23,7 +23,6 @@ from treetour import (
     component_by_component,
     core_tree,
     dual_component_by_component,
-    embed_star_shaped,
     exhaustive_embed,
     extend_one_by_one,
     greedy_embed,
@@ -291,72 +290,6 @@ def test_failed_placement_on_a_validated_instance_is_a_defect(monkeypatch, run, 
 
 
 # ---------------------------------------------------------------------------
-# Star-shaped trees
-
-
-def test_inward_star_embeds_in_transitive_host():
-    T = inward_star(5)
-    G = transitive_tournament(8)
-    out = embed_star_shaped(T, G, 4)
-    assert out.found
-    assert is_valid_embedding(T, G, out.embedding)
-    assert out.notes == ("phase one at host vertex 7",)
-
-
-@pytest.mark.parametrize(
-    "seed, notes",
-    [
-        (
-            3,
-            (
-                "phase one: no host vertex meets both degree bounds",
-                "wide branch: (X-capacity): only 0 vertices of N have 6d = 12 "
-                "in- and out-neighbours in X; need 3d = 6",
-                "forward narrow branch",
-            ),
-        ),
-        (
-            5,
-            (
-                "phase one: no host vertex meets both degree bounds",
-                "forward: degree-class split unusable (y=0, |Y|=5)",
-                "wide branch: (X-capacity): only 0 vertices of N have 6d = 12 "
-                "in- and out-neighbours in X; need 3d = 6",
-                "reversed narrow branch",
-            ),
-        ),
-    ],
-)
-def test_star_shaped_phase_two_embeds_through_the_narrow_branch(seed, notes):
-    T = random_oriented_tree(5, seed)
-    G = transitive_tournament(8)
-    assert core_tree(T, 2).size == 1
-    out = embed_star_shaped(T, G, 2)
-    assert out.found
-    assert is_valid_embedding(T, G, out.embedding)
-    assert out.notes == notes
-
-
-def test_star_shaped_requires_singleton_core():
-    with pytest.raises(ValueError):
-        embed_star_shaped(directed_path(7), transitive_tournament(12), 3)
-    assert core_tree(directed_path(7), 3).size > 1
-
-
-def test_star_shaped_pendant_trees_embed_in_sampled_hosts():
-    # out-star with a pendant in-leaf: mixed in/out weight, singleton 2-core
-    T = DirectedTree(6, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 4)])
-    assert core_tree(T, 2).size == 1
-    for s in range(10):
-        G = random_tournament(10, seed=5000 + s)
-        out = embed_star_shaped(T, G, 2)
-        if not out.found:
-            out = portfolio_embed(T, G)
-        assert out.found
-        assert is_valid_embedding(T, G, out.embedding)
-
-
-# ---------------------------------------------------------------------------
 # Portfolio dispatch
 
 
@@ -424,6 +357,27 @@ def test_redei_path_stage_rejects_a_wrong_path_order(monkeypatch):
     )
     with pytest.raises(GraphDefectError, match="redei-path"):
         portfolio_embed(directed_path(5), random_tournament(5, seed=1))
+
+
+def test_portfolio_embeds_single_vertex_core_trees_above_the_exhaustive_cap():
+    # Trees whose 2-core is one vertex, in hosts too large for complete
+    # search: the stages before it must find every one.
+    for n in range(15, 21):
+        trees = (random_oriented_tree(n, seed=s) for s in range(100))
+        trees = [T for T in trees if core_tree(T, 2).size == 1][:5]
+        assert len(trees) == 5
+        for i, T in enumerate(trees):
+            for G in (
+                random_tournament(2 * n - 2, seed=10 * n + i),
+                transitive_tournament(2 * n - 2),
+                rotational_regular_tournament(2 * n - 1),
+            ):
+                assert G.n > strategies.EXHAUSTIVE_MAX_N
+                out = portfolio_embed(T, G)
+                assert out.found, (n, i, G.n, out.notes)
+                phi = out.embedding
+                assert sorted(phi) == list(range(n)) and len(set(phi.values())) == n
+                assert all((G.out_rows[phi[u]] >> phi[v]) & 1 for u, v in T.arcs)
 
 
 def test_portfolio_certifies_star_sharpness():

@@ -5,19 +5,14 @@ identities (weights summing to n−1, complements summing to n) or
 recompute the property from scratch inside the test.
 """
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from treetour import (
-    DirectedTree,
-    components_against,
-    core_tree,
-    edge_weight,
-    weight_profile,
-)
+from treetour import DirectedTree, core_tree, weight_profile
 from treetour.generate import directed_path, inward_star, outward_star, random_oriented_tree
-from treetour.graphs import GraphDefectError, bits, mask_of
+from treetour.graphs import GraphDefectError, bit_list, bits, mask_of
 from treetour.weights import hanging_components
 
 
@@ -26,38 +21,32 @@ from treetour.weights import hanging_components
 
 
 def test_edge_weight_on_path_counts_far_side():
-    P = directed_path(5)  # underlying path 0-1-2-3-4
-    assert edge_weight(P, 1, (1, 2)) == 3  # component {2,3,4}
-    assert edge_weight(P, 2, (1, 2)) == 2  # component {0,1}
-    assert edge_weight(P, 0, (0, 1)) == 4
+    prof = weight_profile(directed_path(5))  # underlying path 0-1-2-3-4
+    assert prof.edge_weight(1, 2) == 3  # component {2,3,4}
+    assert prof.edge_weight(2, 1) == 2  # component {0,1}
+    assert prof.edge_weight(0, 1) == 4
 
 
 def test_edge_weight_on_star():
-    S = inward_star(5)  # centre 0
+    prof = weight_profile(inward_star(5))  # centre 0
     for leaf in range(1, 5):
-        assert edge_weight(S, 0, (leaf, 0)) == 1
-        assert edge_weight(S, leaf, (leaf, 0)) == 4
+        assert prof.edge_weight(0, leaf) == 1
+        assert prof.edge_weight(leaf, 0) == 4
 
 
 def test_edge_weight_accepts_either_endpoint_order():
-    P = directed_path(4)
-    assert edge_weight(P, 1, (1, 2)) == edge_weight(P, 1, (2, 1))
-
-
-def test_edge_weight_rejects_non_incident_edge():
-    P = directed_path(5)
-    with pytest.raises(ValueError):
-        edge_weight(P, 0, (1, 2))
-    with pytest.raises(ValueError):
-        edge_weight(P, 0, (0, 2))  # not an edge of the tree
+    # the edge 1-2 is the arc (1, 2); from either end it weighs the far side
+    prof = weight_profile(directed_path(4))
+    assert (prof.edge_weight(1, 2), prof.edge_weight(2, 1)) == (2, 2)
+    assert (prof.edge_weight(0, 1), prof.edge_weight(1, 0)) == (3, 1)
 
 
 def test_incident_edge_weights_sum_to_n_minus_one():
     for seed in range(15):
         T = random_oriented_tree(4 + seed, seed=seed)
+        prof = weight_profile(T)
         for x in range(T.n):
-            incident = [e for e in T.arcs if x in e]
-            assert sum(edge_weight(T, x, e) for e in incident) == T.n - 1
+            assert sum(prof.edge_weight(x, y) for y in T.neighbours(x)) == T.n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -81,21 +70,14 @@ def test_weight_profile_identities_hold_exactly():
             assert prof.edge_weight(u, v) + prof.edge_weight(v, u) == T.n
 
 
-def test_weight_profile_matches_edge_weight_function():
-    T = random_oriented_tree(12, seed=7)
-    prof = weight_profile(T)
-    for u, v in T.arcs:
-        assert prof.edge_weight(u, v) == edge_weight(T, u, (u, v))
-
-
 # ---------------------------------------------------------------------------
 # Components against a subtree
 
 
 def test_components_against_middle_of_path():
     P = directed_path(3)
-    comps = components_against(P, mask_of([1]))
-    assert sorted((sorted(bits(m)), side) for m, side in comps) == [
+    comps = hanging_components(P, mask_of([1]))
+    assert [(bit_list(h.comp), h.direction) for h in comps] == [
         ([0], "in"),
         ([2], "out"),
     ]
@@ -103,21 +85,19 @@ def test_components_against_middle_of_path():
 
 def test_components_against_centre_of_inward_star():
     S = inward_star(5)
-    comps = components_against(S, mask_of([0]))
+    comps = hanging_components(S, mask_of([0]))
     assert len(comps) == 4
-    assert all(side == "in" for _, side in comps)
-    assert sum(m.bit_count() for m, _ in comps) == 4
+    assert all(h.direction == "in" for h in comps)
+    assert sum(h.comp.bit_count() for h in comps) == 4
 
 
 def test_components_against_partition_and_direction_recount():
     for seed in range(10):
         T = random_oriented_tree(20, seed=seed)
         C = core_tree(T, 3).vertices
-        comps = components_against(T, C)
-        hanging = hanging_components(T, C)
-        assert [(h.comp, h.direction) for h in hanging] == comps
         union = 0
-        for (m, side), h in zip(comps, hanging):
+        for h in hanging_components(T, C):
+            m = h.comp
             assert m & C == 0
             assert m & union == 0
             union |= m
@@ -129,7 +109,7 @@ def test_components_against_partition_and_direction_recount():
             ]
             assert len(connecting) == 1
             u, v = connecting[0]
-            assert side == ("in" if (C >> v) & 1 else "out")
+            assert h.direction == ("in" if (C >> v) & 1 else "out")
             # the finder reports that same arc, C end first
             assert (h.inner, h.outer) == ((u, v) if (C >> u) & 1 else (v, u))
         assert union | C == (1 << T.n) - 1
@@ -141,12 +121,6 @@ def test_hanging_components_reject_other_than_one_attaching_edge():
         hanging_components(P, mask_of([0, 4]))
     with pytest.raises(GraphDefectError, match="by 0 edges"):
         hanging_components(P, mask_of([0]), mask_of([3, 4]))
-
-
-def test_components_against_rejects_disconnected_set():
-    P = directed_path(5)
-    with pytest.raises(ValueError):
-        components_against(P, mask_of([0, 4]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +148,48 @@ def test_core_threshold_is_inclusive_exact_arithmetic():
     assert core_tree(directed_path(4), 2).vertices == mask_of([1, 2])
 
 
+def _components_without(T, removed):
+    """Components of T minus the vertex set ``removed``, by plain BFS.
+
+    Written here from the arc list alone, so the core checks below share
+    no code with the weight profile or the component finder they check.
+    """
+    adjacent = {v: [] for v in range(T.n)}
+    for u, v in T.arcs:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen = set(removed)
+    comps = []
+    for start in range(T.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = {start}, deque([start])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    queue.append(y)
+        comps.append(comp)
+    return comps
+
+
+def _side_sizes(T, x):
+    """{neighbour y of x: size of the component of T - x holding y}."""
+    ends = {v for u, v in T.arcs if u == x} | {u for u, v in T.arcs if v == x}
+    return {y: len(c) for c in _components_without(T, {x}) for y in c & ends}
+
+
 def test_core_definition_recomputed_from_edge_weights():
     for seed in range(10):
         T = random_oriented_tree(30, seed=seed)
         for delta in (2, 3, 5):
             expected = 0
             for x in range(T.n):
-                incident = [e for e in T.arcs if x in e]
                 if all(
-                    Fraction(edge_weight(T, x, e)) <= Fraction((delta - 1) * T.n, delta)
-                    for e in incident
+                    Fraction(size) <= Fraction((delta - 1) * T.n, delta)
+                    for size in _side_sizes(T, x).values()
                 ):
                     expected |= 1 << x
             assert core_tree(T, delta).vertices == expected
@@ -200,12 +206,12 @@ def test_core_structural_guarantees():
             deg = sum(1 for u, v in core.arcs if x in (u, v))
             assert deg <= 3
         # every outside component small
-        for m, _ in components_against(T, core.vertices):
-            assert m.bit_count() * 3 <= T.n
+        for comp in _components_without(T, members):
+            assert len(comp) * 3 <= T.n
         # both end weights of every core arc at least n/delta
         for u, v in core.arcs:
-            assert edge_weight(T, u, (u, v)) * 3 >= T.n
-            assert edge_weight(T, v, (u, v)) * 3 >= T.n
+            assert _side_sizes(T, u)[v] * 3 >= T.n
+            assert _side_sizes(T, v)[u] * 3 >= T.n
 
 
 def test_core_grows_with_delta():
