@@ -12,10 +12,15 @@ in-neighbours inside ``S``.  This module provides:
   The exact sweep is bit-parallel: the subsets of the low 12 vertices are
   the bit lanes of one 4096-bit int, so it loops over the 2^(n−12) subsets
   of the other vertices and decides 4096 subsets per step with big-int
-  and/xor.  Its worst case, a full sweep of an expander at ``n = 20`` (no
-  early exit), measured 3–7 ms on ``random_tournament(20, s)``, s = 0..9,
-  μ ∈ {1/20, 1/10} (Python 3.11, one core of a shared 2-vCPU Xeon),
-  where a walk of one subset at a time took about 1.2 s;
+  and/xor.  Per step, only the short vertices (fewer than ⌈μn⌉
+  in-neighbours in the step's high subset) enter a bit-sliced counter,
+  which starts at 2^P minus each lane's target, so one plane tells the
+  lanes below target.  Its worst case, a full sweep
+  of an expander at ``n = 20`` (no early exit), measured 0.9–2.2 ms at
+  μ = 1/20 (ν ∈ {1/20, 1/10, 1/5}) and 3.1–6.6 ms at μ = 1/10, ν = 1/5,
+  where about three times as many vertices are short, on the expanders
+  among ``random_tournament(20, s)``, s = 0..9 (Python 3.11, one core of
+  a shared 2-vCPU Xeon); a walk of one subset at a time took about 1.2 s;
 * :func:`non_expander_split` — partition a non-expander into two sets
   with few forward arcs, choosing among the repaired witness, its
   repaired complement and the out-degree-order prefixes, and verifying
@@ -25,9 +30,11 @@ in-neighbours inside ``S``.  This module provides:
   outexpander, tracking bad (backward) arcs and deleting vertices that
   touch too many of them.
 
-All threshold comparisons are exact (integer counts against Fractions);
-randomised components draw from the package's seeded streams, so every
-result is a pure function of its inputs.
+All threshold comparisons are exact: an integer count is compared with
+the floor or ceiling of a Fraction threshold, computed once per call
+(``x > γn`` iff ``x > ⌊γn⌋``).  Randomised components draw from the
+package's seeded streams, so every result is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -163,11 +170,16 @@ def _lane_patterns(k: int) -> list[int]:
     return patterns
 
 
-def _lanes_at_least(members: int, patterns: Sequence[int], every: int) -> list[int]:
-    """Entry s: the lanes whose subset holds at least s of ``members``."""
+def _lanes_at_least(
+    members: int, patterns: Sequence[int], every: int, top: int
+) -> list[int]:
+    """Entry s, 0 ≤ s ≤ top: the lanes whose subset holds at least s of
+    ``members``.  Entry s depends only on entries s and s − 1, so the
+    table stops growing at ``top``."""
     at_least = [every]
     for u in bits(members):
-        at_least.append(0)
+        if len(at_least) <= top:
+            at_least.append(0)
         for s in range(len(at_least) - 1, 0, -1):
             at_least[s] |= at_least[s - 1] & patterns[u]
     return at_least
@@ -181,9 +193,25 @@ def _lane_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     so every k it meets stays cached."""
     every = full_mask(1 << k)
     patterns = tuple(_lane_patterns(k))
-    size_at_least = _lanes_at_least(full_mask(k), patterns, every) + [0]
+    size_at_least = _lanes_at_least(full_mask(k), patterns, every, k) + [0]
     size_lanes = tuple(size_at_least[s] ^ size_at_least[s + 1] for s in range(k + 1))
     return every, patterns, size_lanes
+
+
+@lru_cache(maxsize=256)
+def _offset_planes(k: int, base: int, top: int) -> tuple[int, ...]:
+    """Bit planes 0..top of 2^top − max(0, |S_low| + base), lane by lane.
+
+    A counter started here reaches 2^top, so sets plane ``top``, exactly
+    on the lanes where at least max(0, |S_low| + base) indicators were
+    added, as long as the target is at most 2^top and the indicator count
+    below 2^top."""
+    size_lanes = _lane_tables(k)[2]
+    planes = [0] * (top + 1)
+    for s in range(k + 1):
+        for j in bits((1 << top) - max(0, s + base)):
+            planes[j] |= size_lanes[s]
+    return tuple(planes)
 
 
 def _exact_expander_sweep(
@@ -193,12 +221,16 @@ def _exact_expander_sweep(
 
     Subset i splits into a high part (vertices k..n−1) and a low part
     (vertices 0..k−1), k = min(n, _LANE_BITS).  The walk goes over the
-    2^(n−k) high parts in Gray order, keeping a_v = |in(v) ∩ S_high|, and
-    decides all 2^k low parts of a block at once: v is in the robust
-    out-neighbourhood of the lanes where |in(v) ∩ S_low| ≥ ⌈μn⌉ − a_v,
-    a precomputed table.  The n indicators go into a bit-sliced counter,
-    which is compared with the bit-sliced target |S_low| + |S_high| + ⌈μn⌉
-    on the in-window lanes.  Block b visits lane gray(l) ^ ((b & 1) << (k−1))
+    2^(n−k) high parts in Gray order, keeping a_v = |in(v) ∩ S_high| and
+    the mask of the short vertices, those with a_v < ⌈μn⌉.  Every other
+    vertex is in the robust out-neighbourhood of every lane of the block,
+    so it only lowers the target; a short v is in it on the lanes where
+    |in(v) ∩ S_low| ≥ ⌈μn⌉ − a_v, a precomputed table that stops at
+    ⌈μn⌉.  Each block starts a bit-sliced counter at 2^top minus the
+    target max(0, |S_low| + |S_high| + ⌈μn⌉ − #non-short), top =
+    (n + ⌈μn⌉).bit_length(), adds the indicators of the short vertices,
+    and reads the lanes below target as the in-window lanes where plane
+    ``top`` is clear.  Block b visits lane gray(l) ^ ((b & 1) << (k−1))
     at step l, so the violating lane of smallest step is the subset the
     one-subset-at-a-time Gray walk would stop at, and ``samples`` counts
     the same in-window subsets it would.
@@ -212,8 +244,9 @@ def _exact_expander_sweep(
         return ExpanderVerdict(EXPANDER, "exact", mu, nu, samples=0)
     k = min(n, _LANE_BITS)
     every, patterns, size_lanes = _lane_tables(k)
+    # need_tables[v][need] for 1 ≤ need ≤ min(t, |in(v) ∩ low|).
     need_tables = [
-        _lanes_at_least(G.in_rows[v] & full_mask(k), patterns, every)
+        _lanes_at_least(G.in_rows[v] & full_mask(k), patterns, every, t)
         for v in range(n)
     ]
     windows = []
@@ -222,58 +255,48 @@ def _exact_expander_sweep(
         for s in range(max(0, lo - h), min(k, hi - h) + 1):
             lanes |= size_lanes[s]
         windows.append(lanes)
-    counter_planes = n.bit_length()
-    target_planes = (n + t).bit_length()
-    targets: dict[int, list[int]] = {}
-
-    def target(base: int) -> list[int]:
-        """Bit planes of max(0, |S_low| + base), lane by lane."""
-        if base not in targets:
-            planes = [0] * target_planes
-            for s in range(k + 1):
-                for j in bits(max(0, s + base)):
-                    planes[j] |= size_lanes[s]
-            targets[base] = planes
-        return targets[base]
-
+    # Targets reach at most n + t and counts at most n, both below 2^top.
+    top = (n + t).bit_length()
     high_out = [bit_list(G.out_rows[u]) for u in range(k, n)]
     a = [0] * n
+    short = full_mask(n)
     high = 0
     checked = 0
     for b in range(1 << (n - k)):
         if b:
             j = (b & -b).bit_length() - 1
-            step = -1 if high >> j & 1 else 1
             high ^= 1 << j
-            for v in high_out[j]:
-                a[v] += step
+            if high >> j & 1:
+                for v in high_out[j]:
+                    a[v] += 1
+                    if a[v] == t:
+                        short ^= 1 << v
+            else:
+                for v in high_out[j]:
+                    if a[v] == t:
+                        short |= 1 << v
+                    a[v] -= 1
         h = high.bit_count()
         window = windows[h]
         if not window:
             continue
-        # Vertices already at ⌈μn⌉ count in every lane: they lower the
-        # target instead of entering the counter.
-        base = h + t
-        # Target-wide, though a count of at most n needs only counter_planes.
-        counter = [0] * target_planes
-        for v in range(n):
+        counter = list(_offset_planes(k, h + t - n + short.bit_count(), top))
+        rest = short
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             need = t - a[v]
-            if need <= 0:
-                base -= 1
-            elif need < len(need_tables[v]):  # else no lane reaches need
-                x = need_tables[v][need]
-                for p in range(counter_planes):
+            table = need_tables[v]
+            if need < len(table):  # else no lane reaches need
+                x = table[need]
+                for p in range(top + 1):
                     carry = counter[p] & x
                     counter[p] ^= x
                     x = carry
                     if not x:
                         break
-        # Bit-sliced counter < target, from the top plane down, on the
-        # in-window lanes only.
-        below, equal = 0, window
-        for cp, tp in zip(reversed(counter), reversed(target(base))):
-            below |= equal & tp & ~cp
-            equal &= ~(cp ^ tp)
+        below = window ^ (window & counter[top])
         if below:
             flip = (b & 1) << (k - 1)
             in_window = format(window, f"0{1 << k}b")[::-1]
@@ -330,17 +353,20 @@ def _sampled_expander_check(
     if lo > hi:
         return ExpanderVerdict(EXPANDER, "sampled", mu, nu, samples=0)
     t = _ceil(mu * n)
+    in_rows = G.in_rows
     seen: set[int] = set()
     checked = 0
     for S in _sampled_candidates(G, lo, hi, seed):
         if checked >= sample_budget:
             break
-        if S in seen or not (lo <= S.bit_count() <= hi):
+        size = S.bit_count()
+        if S in seen or not (lo <= size <= hi):
             continue
         seen.add(S)
         checked += 1
-        rn = robust_out_neighbourhood(G, S, mu)
-        if rn.bit_count() < S.bit_count() + t:
+        # |robust out-neighbourhood of S|, counted inline: calling
+        # robust_out_neighbourhood would re-validate μ for every sample.
+        if sum((row & S).bit_count() >= t for row in in_rows) < size + t:
             if not _witness_fails(G, S, mu, nu):
                 raise GraphDefectError("sampled expander witness failed recheck")
             return ExpanderVerdict(
@@ -366,13 +392,18 @@ def is_robust_outexpander(
     walks the ``2^(n−k)`` subsets of the other vertices in Gray order, so
     each step decides ``2^k`` subsets with bit-sliced counters.  It returns
     the first failing subset, and the in-window subset count up to it, of
-    the Gray order ``i ^ (i >> 1)``.  A full sweep at ``n = 20`` (an
-    expander, so no early exit) measured 3–7 ms on random hosts, where one
-    subset at a time took about 1.2 s.  Sampled mode
-    tries degree-order prefixes/suffixes, vertex neighbourhoods and
-    their complements, then seeded random sets; failure to falsify is
-    Unknown, never a certificate.  Negative verdicts always carry a
-    witness that has been re-validated by direct recount.
+    the Gray order ``i ^ (i >> 1)``.  Each step counts only the short
+    vertices, those with fewer than ``⌈μn⌉`` in-neighbours in the high
+    part, in a counter offset by the target, and reads the failing lanes
+    off one bit plane.  A full sweep at ``n = 20`` (an expander, so no
+    early exit) measured 0.9–2.2 ms on random hosts at μ = 1/20 and
+    3.1–6.6 ms at μ = 1/10, where one subset at a time took about 1.2 s.
+    Sampled mode tries degree-order prefixes/suffixes, vertex
+    neighbourhoods and their complements, then seeded random sets,
+    counting each robust out-neighbourhood against ``⌈μn⌉`` computed
+    once; failure to falsify is Unknown, never a certificate.  Negative
+    verdicts always carry a witness that has been re-validated by direct
+    recount.
     """
     mu_f = _check_unit_interval("mu", mu, closed_top=True)
     nu_f = _check_unit_interval("nu", nu, closed_top=True)
@@ -616,9 +647,9 @@ def tournament_split(
     gamma_f = _check_unit_interval("gamma", gamma, closed_top=False)
     checker = expander_checker or make_expander_checker()
     n = G.n
-    # An integer degree is below η·n iff it is below ⌈η·n⌉.
+    # An integer is below η·n iff it is below ⌈η·n⌉; likewise for γ·n.
     eta_deg = _ceil(eta_f * n)
-    gamma_n = gamma_f * n
+    small_below = _ceil(gamma_f * n)
     # Integerized deletion threshold ⌈√η·n⌉: smallest integer t with
     # t²·denominator ≥ n²·numerator, so the test below stays exact.
     tau = math.isqrt(n * n * eta_f.numerator // eta_f.denominator) if n else 0
@@ -659,7 +690,7 @@ def tournament_split(
             break
         ell = max(failing, key=lambda i: (pieces[i].bit_count(), -i))
         S = pieces[ell]
-        if S.bit_count() < gamma_n:
+        if S.bit_count() < small_below:
             break
         H, ids, _ = piece(S)
         low_out = next((v for v in range(H.n) if H.out_deg(v) < eta_deg), None)
@@ -710,7 +741,7 @@ def tournament_split(
     classification: list[str] = []
     verdicts: list[ExpanderVerdict | None] = []
     for p in pieces:
-        if p.bit_count() < gamma_n:
+        if p.bit_count() < small_below:
             classification.append(SMALL)
             verdicts.append(None)
             continue
@@ -739,12 +770,15 @@ def tournament_split(
 
 def _verify_split(G: Tournament, result: SplitResult) -> None:
     n = G.n
-    gamma_n = result.gamma * n
-    eta_n = result.eta * n
+    # Integer counts against the Fraction thresholds, each as one integer:
+    # x > γ·n iff x > ⌊γ·n⌋, and x < c·n iff x < ⌈c·n⌉.
+    gamma_deg = _floor(result.gamma * n)
+    small_below = _ceil(result.gamma * n)
+    eta_deg = _ceil(result.eta * n)
     covered = result.covered
     if covered & result.deleted:
         raise GraphDefectError("a deleted vertex remained in a piece")
-    if covered.bit_count() < (1 - result.gamma) * n:
+    if covered.bit_count() < _ceil((1 - result.gamma) * n):
         raise SplitRegimeError(
             "coverage",
             f"pieces cover only {covered.bit_count()} of {n} vertices, below "
@@ -755,27 +789,27 @@ def _verify_split(G: Tournament, result: SplitResult) -> None:
     for p in result.pieces:
         later &= ~p
         for v in bits(p):
-            if (G.in_rows[v] & later).bit_count() > gamma_n:
+            if (G.in_rows[v] & later).bit_count() > gamma_deg:
                 raise GraphDefectError(
                     f"vertex {v} has more than γ·n in-neighbours in later pieces"
                 )
     earlier = 0
     for p in result.pieces:
         for v in bits(p):
-            if (G.out_rows[v] & earlier).bit_count() > gamma_n:
+            if (G.out_rows[v] & earlier).bit_count() > gamma_deg:
                 raise GraphDefectError(
                     f"vertex {v} has more than γ·n out-neighbours in earlier pieces"
                 )
         earlier |= p
     for p, label in zip(result.pieces, result.classification):
         if label == SMALL:
-            if not p.bit_count() < gamma_n:
+            if not p.bit_count() < small_below:
                 raise GraphDefectError("a piece classified small is not small")
             continue
         if label != EXPANDER:
             continue
         H, _ = G.induced(p)
-        if _min_semidegree(H) < eta_n:
+        if _min_semidegree(H) < eta_deg:
             raise GraphDefectError(
                 "an expander-classified piece has minimum semidegree below η·n"
             )

@@ -242,6 +242,153 @@ def test_exact_sweep_matches_the_reference_walk():
     assert tally["later block"] >= 5, tally
 
 
+def _visited_block_shapes(G, mu, nu, verdict):
+    """Recount, for each block the sweep visits with a non-empty size
+    window, what it has to handle: no short vertex (a_v < ⌈μn⌉ for none),
+    in-window lanes whose target max(0, |S_low| + base) is 0, and a short
+    vertex whose need table is read past entry 1.  Blocks go in the Gray
+    order of the high parts, up to the witness's block."""
+    n = G.n
+    k = min(n, 12)
+    lo, hi = math.ceil(nu * n), math.floor((1 - nu) * n)
+    t = math.ceil(mu * n)
+    last = None if verdict.is_expander else verdict.witness >> k
+    shapes = set()
+    for b in range(1 << (n - k)):
+        high = b ^ (b >> 1)
+        h = high.bit_count()
+        if max(0, lo - h) <= min(k, hi - h):
+            high_set = high << k
+            a = [(G.in_rows[v] & high_set).bit_count() for v in range(n)]
+            short = [v for v in range(n) if a[v] < t]
+            base = h + t - (n - len(short))
+            if not short:
+                shapes.add("no short vertex")
+            if max(0, lo - h) + base <= 0:
+                shapes.add("zero target")
+            if any(1 < t - a[v] <= (G.in_rows[v] & full_mask(k)).bit_count() for v in short):
+                shapes.add("need past 1")
+        if high == last:
+            break
+    return shapes
+
+
+def test_exact_sweep_matches_the_reference_at_larger_thresholds():
+    """⌈μn⌉ = 2 and 3 read the shortened need tables past entry 1.  At
+    ⌈μn⌉ = 1 a random expander host has high parts that reach every
+    vertex, which leaves a block with no short vertex, and high parts
+    that reach more vertices than |S_high| + 1, which gives lanes whose
+    target is 0."""
+    seen = {"no short vertex": 0, "zero target": 0, "need past 1": 0}
+    verdicts = set()
+    cases = []
+    for n in range(13, 21):
+        G = random_tournament(n, seed=100 + n)
+        for t in (2, 3):
+            cases.append((G, Fraction(t, n), Fraction(1, 5)))
+    for n in (13, 15, 17, 19):
+        for t in (1, 2, 3):
+            cases.append((rotational_regular_tournament(n), Fraction(t, n), Fraction(1, 20)))
+    for n, seed in ((16, 2), (17, 1), (18, 0)):
+        cases.append((random_tournament(n, seed=seed), Fraction(1, 40), Fraction(1, 20)))
+    for n in (13, 16, 20):
+        cases.append((transitive_tournament(n), Fraction(1, 40), Fraction(1, 20)))
+    for n, blocks in ((14, 2), (17, 3)):
+        G = _transitive_blow_up(n, blocks, 5)
+        for H in (G, G.reverse()):
+            cases.append((H, Fraction(1, 40), Fraction(1, 20)))
+            cases.append((H, Fraction(2, n), Fraction(1, 10)))
+    for G, mu, nu in cases:
+        got = is_robust_outexpander(G, mu, nu, "exact")
+        assert got == _reference_exact_sweep(G, mu, nu), (G.n, mu, nu)
+        verdicts.add(got.status)
+        for shape in _visited_block_shapes(G, mu, nu, got):
+            seen[shape] += 1
+    assert verdicts == {EXPANDER, NOT_EXPANDER}
+    assert all(seen.values()), seen
+
+
+def test_offset_planes_reach_the_top_plane_exactly_at_the_target():
+    """Start at the planes of 2^P − max(0, s + base) for a lane of size s,
+    add indicator lanes with carries, and the lane reads 2^P − target +
+    count; plane P is set exactly where the count reaches the target."""
+    rng = random.Random(16)
+    for k, base, top in ((1, 0, 2), (3, -5, 3), (3, 2, 3), (5, -2, 4), (6, 7, 4), (12, -3, 5), (12, 9, 6)):
+        planes = expansion._offset_planes(k, base, top)
+        assert len(planes) == top + 1
+        width = 1 << k
+        # k + base is the largest target, so k + base + adds < 2^(top+1)
+        adds = rng.randrange(1, (1 << top) - max(0, k + base) + 1)
+        counter = list(planes)
+        counts = [0] * width
+        for _ in range(adds):
+            x = rng.getrandbits(width)
+            for lane in range(width):
+                counts[lane] += x >> lane & 1
+            for p in range(top + 1):
+                x, counter[p] = counter[p] & x, counter[p] ^ x
+        for lane in range(width):
+            target = max(0, lane.bit_count() + base)
+            start = sum((planes[p] >> lane & 1) << p for p in range(top + 1))
+            assert start == (1 << top) - target, (k, base, lane)
+            value = sum((counter[p] >> lane & 1) << p for p in range(top + 1))
+            assert value == (1 << top) - target + counts[lane], (k, base, lane)
+            assert (counter[top] >> lane & 1) == (counts[lane] >= target), (k, base, lane)
+
+
+# Reference: the sampled check before it counted robust out-neighbourhoods
+# inline, kept verbatim.  Its candidate stream, verdict, witness and sample
+# count are what the current check must reproduce.
+
+
+def _reference_sampled_check(G, mu, nu, sample_budget, seed):
+    n = G.n
+    lo, hi = expansion._size_window(n, nu)
+    if lo > hi:
+        return ExpanderVerdict(EXPANDER, "sampled", mu, nu, samples=0)
+    t = expansion._ceil(mu * n)
+    seen: set[int] = set()
+    checked = 0
+    for S in expansion._sampled_candidates(G, lo, hi, seed):
+        if checked >= sample_budget:
+            break
+        if S in seen or not (lo <= S.bit_count() <= hi):
+            continue
+        seen.add(S)
+        checked += 1
+        rn = robust_out_neighbourhood(G, S, mu)
+        if rn.bit_count() < S.bit_count() + t:
+            if not expansion._witness_fails(G, S, mu, nu):
+                raise GraphDefectError("sampled expander witness failed recheck")
+            return ExpanderVerdict(
+                NOT_EXPANDER, "sampled", mu, nu, witness=S, samples=checked
+            )
+    return ExpanderVerdict(UNKNOWN, "sampled", mu, nu, samples=checked)
+
+
+def test_sampled_check_matches_the_reference():
+    statuses = set()
+    for n in range(21, 61, 3):
+        hosts = [
+            random_tournament(n, seed=n),
+            rotational_regular_tournament(n | 1),
+            _transitive_blow_up(n, 3, n),
+        ]
+        for G in hosts:
+            for mu, nu in (
+                (Fraction(1, 20), Fraction(1, 20)),
+                (Fraction(1, 10), Fraction(1, 5)),
+                (Fraction(1, 3), Fraction(1, 4)),
+            ):
+                for budget, seed in ((1, 0), (40, 3), (300, 11)):
+                    got = is_robust_outexpander(G, mu, nu, "sampled", budget, seed=seed)
+                    assert got == _reference_sampled_check(G, mu, nu, budget, seed), (
+                        G.n, mu, nu, budget, seed,
+                    )
+                    statuses.add(got.status)
+    assert statuses == {NOT_EXPANDER, UNKNOWN}
+
+
 def test_verdicts_are_deterministic():
     G = transitive_tournament(200)
     a = is_robust_outexpander(G, Fraction(1, 10), Fraction(1, 10), "sampled", 300)
