@@ -17,9 +17,11 @@
 - :func:`greedy_embed`: fast incomplete first attempt inside a host
   region, used by the structured strategies before the complete search;
   a candidate's residual in-degree is read off its out-degree (ro + ri
-  is the same for every candidate), so a candidate costs one AND and one
-  popcount, and the scan stops at the first candidate scoring the most
-  any can.
+  is the same for every candidate).  Below ``GREEDY_COUNTER_MIN_N`` host
+  vertices the candidates are scanned, one AND and one popcount each,
+  up to the first scoring the most any can; larger hosts keep every
+  vertex's ro in bit-sliced counters (about log2(n) host-wide ints), so
+  a level tries the scores from the top with a few mask ANDs each.
 
 The two searches take one constraint, ``region``: a host bitmask that
 holds every image (default: all of G).  The strategies place each tree
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, and_, indexOf, sub
+from operator import add, and_, indexOf, rshift, sub
 
 from .graphs import (
     DirectedTree,
@@ -190,6 +192,76 @@ def exhaustive_embed(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+# Hosts with at least this many vertices choose greedy images from
+# bit-sliced residual out-degree counters instead of scanning candidates:
+# the smallest host size at which the counters took less time than the
+# scan, summed over random and relabelled rotational hosts (the counters
+# win from 64 vertices on random hosts, from about 160 on rotational ones,
+# whose scan mostly stops at its first candidate; BENCH_11.json).
+GREEDY_COUNTER_MIN_N = 88
+
+
+# _BIT_DIGITS[k] maps a byte to the ASCII digit of its bit k.
+_BIT_DIGITS = tuple(bytes(b"01"[d >> k & 1] for d in range(256)) for k in range(8))
+
+
+def _out_degree_planes(G: Tournament) -> list[int]:
+    """Bit-sliced out-degrees: bit v of ``planes[k]`` is bit k of out_deg(v).
+
+    The degrees, vertex n - 1 first, go into one byte string per 8 bits;
+    translating it to the digits of bit k gives plane k as a binary
+    numeral, so a plane costs two C-level passes over the n vertices.
+    """
+    degrees = list(map(int.bit_count, reversed(G.out_rows)))
+    planes = []
+    for k in range((G.n - 1).bit_length()):
+        if not k % 8:
+            digits = bytes(map(and_, map(rshift, degrees, repeat(k)), repeat(255)))
+        planes.append(int(digits.translate(_BIT_DIGITS[k % 8]), 2))
+    return planes
+
+
+def _take_one(planes: list[int], row: int) -> None:
+    """Subtract 1 from the counter of every vertex in ``row``, in place.
+
+    The borrow is the set of vertices still owing one; it passes a plane
+    where the vertex's bit was 0 and dies out where it was 1.  Every
+    counter in ``row`` is at least 1, so no borrow runs off the top.
+    """
+    for k, plane in enumerate(planes):
+        if not row:
+            break
+        planes[k] = plane ^ row
+        row ^= row & plane  # row & ~plane, without a big-int ~
+
+
+def _counter_pick(planes: list[int], m: int, rest: int, min_ro: int, max_ro: int) -> int:
+    """The smallest vertex of ``m`` whose counter ro lies in [min_ro,
+    max_ro] and maximizes min(ro, rest - ro); -1 if there is none.
+
+    Score s is reached exactly at ro = s and ro = rest - s, so the scores
+    are tried from rest // 2 down, each as one or two equality masks: m
+    ANDed with each plane or its complement, from the bottom plane, until
+    it is empty.  No score below min(min_ro, rest - max_ro) is admissible.
+    """
+    if not m:
+        return -1
+    for s in range(rest // 2, min(min_ro, rest - max_ro) - 1, -1):
+        hits = 0
+        for value in (s, rest - s) if s + s != rest else (s,):
+            if min_ro <= value <= max_ro:
+                e = m
+                for plane in planes:
+                    e = e & plane if value & 1 else e ^ (e & plane)
+                    if not e:
+                        break
+                    value >>= 1
+                hits |= e
+        if hits:
+            return (hits & -hits).bit_length() - 1
+    return -1
+
+
 def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -> EmbedOutcome:
     """One greedy pass into G[region], no backtracking; incomplete by design.
 
@@ -199,17 +271,28 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
     the smallest id).  An unused candidate g has every other unused vertex
     as exactly one of an out- or in-neighbour, so its residual sizes
     satisfy ro + ri = rest, the number of unused vertices besides g, which
-    is the same for every candidate at a level.  A candidate therefore
-    costs one AND and one popcount (ro), and no candidate scores more than
-    rest // 2: the scan stops at the first one that does, since a later
-    one could only tie.  Returns Found or BudgetExhausted, never NotFound.
-    A region with host ids outside ``0 .. G.n-1`` raises ValueError.
+    is the same for every candidate at a level, and no candidate scores
+    more than rest // 2.
+
+    Below ``GREEDY_COUNTER_MIN_N`` host vertices the candidates are
+    scanned in id order, each costing one AND and one popcount (ro), and
+    the scan stops at the first one scoring rest // 2, since a later one
+    could only tie.  On larger hosts every vertex's ro is kept as
+    bit-sliced counters, about log2(n) host-wide ints built once per call
+    (:func:`_out_degree_planes`); a level tries the scores from the top
+    with a few mask ANDs each (:func:`_counter_pick`) and placing g
+    subtracts the row ``in_rows[g]`` (:func:`_take_one`), so a level costs
+    O(log n) big-int operations instead of one popcount per candidate.
+    Both paths return the same outcome.  Returns Found or BudgetExhausted,
+    never NotFound.  A region with host ids outside ``0 .. G.n-1`` raises
+    ValueError.
     """
     region = _region_mask(G, region)
     order, parents, out_need, in_need = _search_plan(T)
     if T.n > region.bit_count():
         return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "greedy", ("too few available vertices",))
-    out_rows = G.out_rows
+    out_rows, in_rows = G.out_rows, G.in_rows
+    planes = _out_degree_planes(G) if G.n >= GREEDY_COUNTER_MIN_N else None
     images: list[int] = []
     used = 0
     rest = G.n - 1
@@ -217,31 +300,36 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
     for level, u in enumerate(order):
         ppos, pdir = parents[level]
         m = _candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
-        free = ~used
         min_ro = out_need[u]
         max_ro = rest - in_need[u]
-        top = rest // 2
-        best_g = -1
-        best_score = -1
-        while m:
-            low = m & -m
-            m ^= low
-            g = low.bit_length() - 1
-            ro = (out_rows[g] & free).bit_count()
-            if ro < min_ro or ro > max_ro:
-                continue
-            score = ro if ro + ro <= rest else rest - ro
-            if score > best_score:
-                best_score = score
-                best_g = g
-                if score == top:
-                    break
         nodes += 1
+        if planes is not None:
+            best_g = _counter_pick(planes, m, rest, min_ro, max_ro)
+        else:
+            free = ~used
+            top = rest // 2
+            best_g = -1
+            best_score = -1
+            while m:
+                low = m & -m
+                m ^= low
+                g = low.bit_length() - 1
+                ro = (out_rows[g] & free).bit_count()
+                if ro < min_ro or ro > max_ro:
+                    continue
+                score = ro if ro + ro <= rest else rest - ro
+                if score > best_score:
+                    best_score = score
+                    best_g = g
+                    if score == top:
+                        break
         if best_g < 0:
             return EmbedOutcome(BUDGET_EXHAUSTED, None, nodes, "greedy", ("dead end",))
         images.append(best_g)
         used |= 1 << best_g
         rest -= 1
+        if planes is not None:
+            _take_one(planes, in_rows[best_g])
     mapping = {order[i]: images[i] for i in range(T.n)}
     if not is_valid_embedding(T, G, mapping):  # pragma: no cover
         raise GraphDefectError("greedy produced an invalid embedding")
@@ -353,7 +441,9 @@ def _local_search(G: Tournament) -> tuple[list[int], int]:
     n = G.n
     width = (2 * n - 2).bit_length() + 1
     unit = [1 << (width * u) for u in range(n)]
-    field = [e * ((1 << width) - 1) for e in unit]
+    ones = (1 << width) - 1
+    field = [e * ones for e in unit]
+    shifts = [width * u for u in range(n)]
     units = sum(unit)
     guards = units << (width - 1)
     spread = {ord("0"): "0" * width, ord("1"): "1".rjust(width, "0")}
@@ -388,7 +478,10 @@ def _local_search(G: Tournament) -> tuple[list[int], int]:
                 passed = sum(map(unit.__getitem__, order[i:j]))
                 L -= 2 * (ins[v] & passed) - passed
             L += (P[j] & fv) - level
-        count = forward_arc_count(G, order)
+        # The levels P_u[pos u] sum the signs of all pairs, +1 per backward
+        # and -1 per forward arc, so they total n(n-1)/2 - 2 * forward arcs.
+        levels = sum(map(and_, map(rshift, repeat(L), shifts), repeat(ones))) - n * (n - 1)
+        count = (n * (n - 1) // 2 - levels) // 2
         if count > best_count:
             best_count = count
             best_order = order

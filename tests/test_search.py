@@ -38,7 +38,7 @@ from treetour.generate import (
 from treetour import search
 from treetour.formats import parse_tournament
 from treetour.graphs import bits, full_mask, mask_of
-from treetour.search import MEDIAN_EXACT_MAX_N
+from treetour.search import GREEDY_COUNTER_MIN_N, MEDIAN_EXACT_MAX_N
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -195,9 +195,11 @@ def test_cached_plan_matches_a_fresh_tree_across_hosts():
 
 
 # Reference: the greedy loop that counts both residual neighbourhoods of
-# every candidate.  The fast version reads the in-count off the out-count
-# and stops at the first candidate with the largest possible score; it must
-# return the same outcomes, because every embedding built on it is digested.
+# every candidate.  The fast version reads the in-count off the out-count:
+# below GREEDY_COUNTER_MIN_N host vertices it stops at the first candidate
+# with the largest possible score, above it reads bit-sliced counters.  It
+# must return the same outcomes, because every embedding built on it is
+# digested.
 
 
 def _reference_greedy_embed(T, G, *, region=None):
@@ -269,6 +271,73 @@ def test_greedy_matches_the_two_popcount_reference():
         ("budget_exhausted", ("dead end",)),
         ("budget_exhausted", ("too few available vertices",)),
     }
+
+
+def test_greedy_counters_match_the_reference_around_the_cutoff_and_at_scale(monkeypatch):
+    counter_calls = []
+    planes = search._out_degree_planes
+    monkeypatch.setattr(
+        search, "_out_degree_planes", lambda G: counter_calls.append(G.n) or planes(G)
+    )
+    rng = random.Random(17)
+    cases = []
+    cutoff = GREEDY_COUNTER_MIN_N
+    for hn in (cutoff - 1, cutoff, cutoff + 1, 100, 250, 400):
+        hosts = [
+            random_tournament(hn, seed=hn),
+            _relabelled(rotational_regular_tournament(hn | 1), rng),
+            transitive_tournament(hn),
+            transitive_tournament(hn).reverse(),
+        ]
+        for G in hosts:
+            T = random_oriented_tree(G.n // 2 + 1, seed=G.n + len(cases))
+            cases.append((T, G, None))
+            # regions of 3/5 of the host and of exactly |T| vertices; the
+            # tight ones leave the greedy pass without admissible images
+            for size in (3 * G.n // 5, T.n):
+                cases.append((T, G, mask_of(rng.sample(range(G.n), size))))
+        T = random_oriented_tree(hn // 4, seed=hn)
+        cases.append((T, hosts[0], mask_of(range(T.n - 1))))
+    seen = set()
+    for T, G, region in cases:
+        before = len(counter_calls)
+        out = greedy_embed(T, G, region=region)
+        assert out == _reference_greedy_embed(T, G, region=region), (G.n, region)
+        if out.notes != ("too few available vertices",):
+            assert len(counter_calls) - before == (G.n >= cutoff)
+        if G.n >= cutoff:
+            seen.add((out.verdict, out.notes))
+    assert seen == {
+        ("found", ()),
+        ("budget_exhausted", ("dead end",)),
+        ("budget_exhausted", ("too few available vertices",)),
+    }
+
+
+def _counter(planes, v):
+    return sum(((plane >> v) & 1) << k for k, plane in enumerate(planes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, GREEDY_COUNTER_MIN_N, 255, 256, 257, 300])
+def test_counter_planes_read_the_residual_out_degrees(n):
+    rng = random.Random(n)
+    hosts = [random_tournament(n, seed=n), transitive_tournament(n)]
+    hosts.append(transitive_tournament(n).reverse())
+    hosts.append(_relabelled(rotational_regular_tournament(n | 1), rng))
+    for G in hosts:
+        planes = search._out_degree_planes(G)
+        assert len(planes) == (G.n - 1).bit_length()
+        used = 0
+        placed = rng.sample(range(G.n), rng.randint(0, G.n))
+        for step in range(len(placed) + 1):
+            assert all(
+                _counter(planes, v) == (G.out_rows[v] & ~used).bit_count() for v in range(G.n)
+            )
+            if step < len(placed):
+                g = placed[step]
+                search._take_one(planes, G.in_rows[g])
+                used |= 1 << g
+        assert all(plane >> G.n == 0 for plane in planes)
 
 
 @pytest.mark.parametrize("G", [transitive_tournament(7), transitive_tournament(7).reverse()])
@@ -364,6 +433,20 @@ def test_local_median_is_a_permutation_with_consistent_count():
             perm = list(range(24))
             rng.shuffle(perm)
             assert count >= forward_arc_count(G, perm)
+
+
+def test_local_median_count_is_the_forward_arc_count():
+    # the count comes from the local search's levels; its fields grow a
+    # bit at n = 2, 3, 5, 9, 17, 33 and 65
+    rng = random.Random(5)
+    for n in range(1, 71):
+        hosts = [random_tournament(n, seed=n)]
+        if n % 10 == 0 or n in (63, 64, 65):
+            hosts += [random_tournament(n, seed=1000 + n), transitive_tournament(n).reverse()]
+            hosts.append(_relabelled(rotational_regular_tournament(n | 1), rng))
+        for G in hosts:
+            order, count = median_order(G)
+            assert count == forward_arc_count(G, order), (n, G.n)
 
 
 def test_exact_median_size_cap():
