@@ -438,20 +438,26 @@ def is_valid_embedding(T: DirectedTree, G: Tournament, mapping: Mapping[int, int
 
     The map must assign an image to every tree vertex; a partial map is an
     input error (:class:`PartialMapError`), not a False verdict.  Images out
-    of range are also input errors.  Non-injectivity or a wrongly directed
-    arc gives False.
+    of range are also input errors, checked before injectivity.
+    Non-injectivity or a wrongly directed arc gives False.  Each tree arc
+    u -> v is one row lookup: bit ``mapping[v]`` of ``G.out_rows[mapping[u]]``.
     """
-    if set(mapping.keys()) != set(range(T.n)):
+    if mapping.keys() != set(range(T.n)):
         raise PartialMapError(
             f"map must be total on the {T.n} tree vertices, got keys {sorted(mapping.keys())}"
         )
-    images = list(mapping.values())
+    images = mapping.values()
+    n = G.n
     for g in images:
-        if not (0 <= g < G.n):
-            raise ValueError(f"image {g} out of range for host on {G.n} vertices")
+        if not (0 <= g < n):
+            raise ValueError(f"image {g} out of range for host on {n} vertices")
     if len(set(images)) != len(images):
         return False
-    return all(G.has_arc(mapping[u], mapping[v]) for u, v in T.arcs)
+    rows = G.out_rows
+    for u, v in T.arcs:
+        if not rows[mapping[u]] >> mapping[v] & 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

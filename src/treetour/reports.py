@@ -2,10 +2,12 @@
 
 A campaign is an ordered list of tasks naming a tree and a tournament in
 portable text.  It runs in contiguous chunks (one serially, slices in a
-process pool) that parse each distinct text and build each tree's search
-plan once.  :class:`InstanceReport` records merge in task order, so output
-is identical regardless of scheduling; reports serialize to JSON lines and
-CSV, and all but wall-clock timing is a function of configuration and seeds.
+process pool).  A chunk parses each distinct host text once; a tree text
+is parsed, and its search plan built, once per process, since each chunk
+reuses the trees of the chunk before it.  :class:`InstanceReport` records
+merge in task order, so output is identical regardless of scheduling;
+reports serialize to JSON lines and CSV, and all but wall-clock timing is
+a function of configuration and seeds.
 
 The two stock campaigns:
 
@@ -38,7 +40,7 @@ from .generate import (
     random_tournament,
     rotational_regular_tournament,
 )
-from .graphs import GraphDefectError, is_valid_embedding
+from .graphs import DirectedTree, GraphDefectError, is_valid_embedding
 from .search import NOT_FOUND, exhaustive_embed
 from .strategies import portfolio_embed
 
@@ -105,15 +107,27 @@ class CampaignSummary:
 
 # ---------------------------------------------------------------------------
 # Task execution.  A task is a picklable tuple (kind, descriptor, expectation,
-# tree text, host text, seed); a chunk parses each distinct text once.
+# tree text, host text, seed).  A chunk parses each distinct host text once.
+# Trees are compiled once per process: a parsed tree keeps its search plan
+# (``DirectedTree.plan``), and ``_chunk_trees`` holds the trees of the last
+# chunk run in this process, by text.  Each chunk starts from them and then
+# replaces them with its own, so the store never outgrows one chunk's trees,
+# and a text that fails to parse is never stored.  Successive campaigns over
+# the same trees, and the contiguous tree-major slices a pool worker
+# receives, parse and plan each tree once.
+
+_chunk_trees: dict[str, DirectedTree] = {}
+
 
 def _run_chunk(tasks: list[tuple]) -> list[InstanceReport]:
-    trees, hosts, reports = {}, {}, []
+    global _chunk_trees
+    known, trees, hosts, reports = _chunk_trees, {}, {}, []
     for kind, descriptor, expect, tree_text, host_text, seed in tasks:
         if kind not in ("portfolio", "exhaustive"):
             raise ValueError(f"unknown task kind {kind!r}")
         if tree_text not in trees:
-            trees[tree_text] = parse_tree(tree_text)
+            T = known.get(tree_text)
+            trees[tree_text] = parse_tree(tree_text) if T is None else T
         if host_text not in hosts:
             hosts[host_text] = parse_tournament(host_text)
         T, G = trees[tree_text], hosts[host_text]
@@ -140,6 +154,7 @@ def _run_chunk(tasks: list[tuple]) -> list[InstanceReport]:
             seed=seed,
             version=__version__,
         ))
+    _chunk_trees = trees
     return reports
 
 

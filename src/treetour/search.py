@@ -115,21 +115,6 @@ def _search_plan(
     return T.plan
 
 
-def _candidate_mask(
-    G: Tournament,
-    region: int,
-    used: int,
-    parent_dir: str,
-    parent_image: int,
-) -> int:
-    m = region & ~used
-    if parent_dir == "out":
-        m &= G.out_rows[parent_image]
-    elif parent_dir == "in":
-        m &= G.in_rows[parent_image]
-    return m
-
-
 def exhaustive_embed(
     T: DirectedTree,
     G: Tournament,
@@ -154,7 +139,10 @@ def exhaustive_embed(
     n_t = T.n
     nodes = 0
     images = [0] * n_t
-    used = 0
+    # The unused vertices of the host and of the region, kept as masks:
+    # placing an image clears its bit in both, backtracking sets it again.
+    unused = full_mask(G.n)
+    avail = region
     cand: list[int] = [0] * n_t
     out_rows, in_rows = G.out_rows, G.in_rows
 
@@ -168,7 +156,7 @@ def exhaustive_embed(
             nodes += 1
             if nodes > node_budget:
                 return EmbedOutcome(BUDGET_EXHAUSTED, None, nodes, "exhaustive")
-            free = ~(used | low)
+            free = unused ^ low
             u = order[level]
             if (out_rows[g] & free).bit_count() < out_need[u]:
                 continue
@@ -180,15 +168,18 @@ def exhaustive_embed(
                 if not is_valid_embedding(T, G, mapping):  # pragma: no cover
                     raise GraphDefectError("search produced an invalid embedding")
                 return EmbedOutcome(FOUND, mapping, nodes, "exhaustive")
-            used |= low
+            unused = free
+            avail ^= low
             level += 1
             ppos, pdir = parents[level]
-            cand[level] = _candidate_mask(G, region, used, pdir, images[ppos])
+            cand[level] = avail & (out_rows if pdir == "out" else in_rows)[images[ppos]]
         else:
             if level == 0:
                 return EmbedOutcome(NOT_FOUND, None, nodes, "exhaustive")
             level -= 1
-            used &= ~(1 << images[level])
+            low = 1 << images[level]
+            unused |= low
+            avail |= low
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -294,19 +285,21 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
     out_rows, in_rows = G.out_rows, G.in_rows
     planes = _out_degree_planes(G) if G.n >= GREEDY_COUNTER_MIN_N else None
     images: list[int] = []
-    used = 0
+    unused = full_mask(G.n)  # the unused vertices of the host
+    avail = region  # and of the region
     rest = G.n - 1
     nodes = 0
     for level, u in enumerate(order):
-        ppos, pdir = parents[level]
-        m = _candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
+        m = avail
+        if level:
+            ppos, pdir = parents[level]
+            m &= (out_rows if pdir == "out" else in_rows)[images[ppos]]
         min_ro = out_need[u]
         max_ro = rest - in_need[u]
         nodes += 1
         if planes is not None:
             best_g = _counter_pick(planes, m, rest, min_ro, max_ro)
         else:
-            free = ~used
             top = rest // 2
             best_g = -1
             best_score = -1
@@ -314,7 +307,7 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
                 low = m & -m
                 m ^= low
                 g = low.bit_length() - 1
-                ro = (out_rows[g] & free).bit_count()
+                ro = (out_rows[g] & unused).bit_count()
                 if ro < min_ro or ro > max_ro:
                     continue
                 score = ro if ro + ro <= rest else rest - ro
@@ -326,7 +319,9 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
         if best_g < 0:
             return EmbedOutcome(BUDGET_EXHAUSTED, None, nodes, "greedy", ("dead end",))
         images.append(best_g)
-        used |= 1 << best_g
+        low = 1 << best_g
+        unused ^= low
+        avail ^= low
         rest -= 1
         if planes is not None:
             _take_one(planes, in_rows[best_g])

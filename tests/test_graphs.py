@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from treetour import (
     degrees,
     directed_edge_count,
     forward_arc_count,
+    greedy_embed,
     is_valid_embedding,
 )
 from treetour.generate import (
@@ -288,6 +290,80 @@ def test_valid_embedding_spanning_path_in_transitive():
     G = transitive_tournament(4)
     assert is_valid_embedding(P, G, {i: i for i in range(4)})
     assert not is_valid_embedding(P, G, {0: 1, 1: 0, 2: 2, 3: 3})
+
+
+def _reference_is_valid_embedding(T, G, mapping):
+    """Verbatim copy of ``is_valid_embedding`` before it read host rows
+    directly: one ``G.has_arc`` call per tree arc."""
+    if set(mapping.keys()) != set(range(T.n)):
+        raise PartialMapError(
+            f"map must be total on the {T.n} tree vertices, got keys {sorted(mapping.keys())}"
+        )
+    images = list(mapping.values())
+    for g in images:
+        if not (0 <= g < G.n):
+            raise ValueError(f"image {g} out of range for host on {G.n} vertices")
+    if len(set(images)) != len(images):
+        return False
+    return all(G.has_arc(mapping[u], mapping[v]) for u, v in T.arcs)
+
+
+def _embedding_verdict(check, T, G, mapping):
+    """The bool a check returns, or the type and message of what it raises."""
+    try:
+        return check(T, G, mapping)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _map_variants(rng, T, G, base):
+    """Maps around ``base``: itself, shuffled key order, a random injective
+    map, a collision, a swapped arc, out-of-range images, missing and
+    extra keys, and mixes whose checks must run in the stated order."""
+    n = T.n
+    maps = [base, dict(rng.sample(list(base.items()), n))]
+    maps.append(dict(zip(range(n), rng.sample(range(G.n), n))))
+    outside = rng.choice([-1 - rng.randrange(3), G.n + rng.randrange(3)])
+    bad = dict(base)
+    bad[rng.randrange(n)] = outside
+    maps.append(bad)
+    missing = dict(base)
+    del missing[rng.randrange(n)]
+    maps.append(missing)
+    maps.append({**base, rng.choice([n, n + 5, -1]): rng.randrange(G.n)})
+    maps.append({**bad, n: 0})  # an extra key outranks the bad image
+    if n >= 2:
+        a, b = rng.sample(range(n), 2)
+        maps.append({**base, a: base[b]})  # not injective
+        maps.append({**base, a: outside, b: outside})  # range before injectivity
+        u, v = T.arcs[rng.randrange(n - 1)]
+        maps.append({**base, u: base[v], v: base[u]})  # the arc u -> v reversed
+    return maps
+
+
+def test_valid_embedding_matches_the_has_arc_reference():
+    rng = random.Random(18)
+    outcomes = Counter()
+    for n in range(1, 41):
+        for seed in range(2):
+            T = random_oriented_tree(n, seed=100 * n + seed)
+            m = rng.randint(n, max(n, 2 * n - 2))
+            hosts = (
+                random_tournament(m, seed=100 * n + seed),
+                transitive_tournament(m),
+                rotational_regular_tournament(m | 1),
+            )
+            for G in hosts:
+                found = greedy_embed(T, G).embedding
+                base = found or dict(zip(range(n), rng.sample(range(G.n), n)))
+                for mapping in _map_variants(rng, T, G, base):
+                    expected = _embedding_verdict(_reference_is_valid_embedding, T, G, mapping)
+                    assert _embedding_verdict(is_valid_embedding, T, G, mapping) == expected, (
+                        n, G.n, mapping
+                    )
+                    outcomes[expected if isinstance(expected, bool) else expected[0]] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 300
+    assert outcomes[PartialMapError] >= 300 and outcomes[ValueError] >= 300
 
 
 # ---------------------------------------------------------------------------

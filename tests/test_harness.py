@@ -22,6 +22,7 @@ import treetour
 from treetour import (
     CampaignSummary,
     GraphDefectError,
+    ParseError,
     PropertyConfig,
     Tournament,
     available_suites,
@@ -119,19 +120,44 @@ def test_campaign_parses_each_text_once_and_plans_each_tree_once(monkeypatch):
             return fn(arg, *rest)
         return wrapper
 
+    # Empty the process's tree store: an earlier campaign over the same
+    # trees would otherwise leave them parsed and planned.
+    monkeypatch.setattr(reports, "_chunk_trees", {})
     monkeypatch.setattr(reports, "parse_tree", counted(reports.parse_tree, "tree", str))
     monkeypatch.setattr(
         reports, "parse_tournament", counted(reports.parse_tournament, "host", str)
     )
     monkeypatch.setattr(search, "core_tree", counted(search.core_tree, "plan", write_tree))
-    _, summary = verify_sumner(5, ("sample", 3, 0), "iso")
-    assert summary.total == 81 and summary.all_ok
+    runs = [verify_sumner(5, ("sample", 3, 0), "iso") for _ in range(2)]
+    for _, summary in runs:
+        assert summary.total == 81 and summary.all_ok
+    # Trees are compiled once per process, hosts once per call.
     assert len(calls["tree"]) == 27 and set(calls["tree"].values()) == {1}
-    assert len(calls["host"]) == 3 and set(calls["host"].values()) == {1}
+    assert len(calls["host"]) == 3 and set(calls["host"].values()) == {2}
     # Every tree but the directed path (placed along a Redei path, with no
-    # search plan) gets exactly one plan, however many hosts it meets.
+    # search plan) gets exactly one plan, however many hosts and calls it
+    # meets.
     assert set(calls["plan"]) <= set(calls["tree"])
     assert len(calls["plan"]) == 26 and set(calls["plan"].values()) == {1}
+    (first, first_summary), (second, second_summary) = runs
+    assert reports_to_jsonl(first, include_timing=False) == reports_to_jsonl(
+        second, include_timing=False
+    )
+    assert summary_to_json(first_summary, include_timing=False) == summary_to_json(
+        second_summary, include_timing=False
+    )
+
+
+def test_malformed_tree_text_raises_on_every_call():
+    host = write_tournament(transitive_tournament(4))
+    good = ("portfolio", "path3", "found", write_tree(directed_path(3)), host, None)
+    bad = ("portfolio", "bad", "found", "tree 3\n0 1\n1 0\n", host, None)
+    for tasks in ([bad], [bad], [good, bad], [good, bad], [bad]):
+        with pytest.raises(ParseError, match="line 3: duplicate edge between 1 and 0"):
+            run_campaign(tasks)
+    assert bad[3] not in reports._chunk_trees
+    out, summary = run_campaign([good])
+    assert summary.all_ok and out[0].verdict == "found"
 
 
 def test_campaign_rechecks_every_embedding(monkeypatch):

@@ -202,6 +202,17 @@ def test_cached_plan_matches_a_fresh_tree_across_hosts():
 # digested.
 
 
+def _reference_candidate_mask(G, region, used, parent_dir, parent_image):
+    # Verbatim copy of the library's former ``search._candidate_mask``:
+    # the search now keeps the unused part of the region as a mask instead.
+    m = region & ~used
+    if parent_dir == "out":
+        m &= G.out_rows[parent_image]
+    elif parent_dir == "in":
+        m &= G.in_rows[parent_image]
+    return m
+
+
 def _reference_greedy_embed(T, G, *, region=None):
     region = search._region_mask(G, region)
     order, parents, out_need, in_need = search._search_plan(T)
@@ -212,7 +223,7 @@ def _reference_greedy_embed(T, G, *, region=None):
     nodes = 0
     for level, u in enumerate(order):
         ppos, pdir = parents[level]
-        m = search._candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
+        m = _reference_candidate_mask(G, region, used, pdir, images[ppos] if level else 0)
         best_g = -1
         best_score = -1
         for g in bits(m):
