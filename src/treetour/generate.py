@@ -277,28 +277,13 @@ def _tree_encode(
     return enc(root, -1)
 
 
-def _tree_centroids(T: DirectedTree) -> list[int]:
-    """The 1 or 2 centroids of the underlying tree."""
-    n = T.n
-    _, parent, size = T.rooted(0)
-    cents = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in T.neighbours(v):
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if heaviest <= n // 2:
-            cents.append(v)
-    return cents
-
-
 def oriented_tree_key(T: DirectedTree) -> str:
     """A string equal for two oriented trees iff they are isomorphic."""
-    return min(_tree_encode(T, c, directed=True) for c in _tree_centroids(T))
+    return min(_tree_encode(T, c, directed=True) for c in T.centroids())
 
 
 def _underlying_tree_key(T: DirectedTree) -> str:
-    return min(_tree_encode(T, c, directed=False) for c in _tree_centroids(T))
+    return min(_tree_encode(T, c, directed=False) for c in T.centroids())
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,36 @@ class DirectedTree:
                 size[parent[v]] += size[v]
         return Rooted(order, parent, size)
 
+    def centroids(self) -> tuple[int, ...]:
+        """The 1 or 2 centroids of the underlying tree, ascending.
+
+        A centroid is a vertex v whose largest component of T - v has at
+        most n/2 vertices (the tree's 2-core).  One BFS from vertex 0 gives
+        the subtree sizes; the walk from 0 steps into the child holding more
+        than n/2 vertices while there is one and stops at a centroid, and a
+        second centroid is a child of it holding exactly n/2.  Each returned
+        vertex is checked against the defining inequality, in O(degree).
+        """
+        n = self.n
+        nbrs = self.nbrs
+        _, parent, size = self.rooted(0)
+        v = 0
+        while True:
+            for c in nbrs[v]:
+                if c != parent[v] and 2 * size[c] > n:
+                    v = c
+                    break
+            else:
+                break
+        found = [v] + [c for c in nbrs[v] if c != parent[v] and 2 * size[c] == n]
+        for c in found:
+            largest = max([n - size[c]] + [size[w] for w in nbrs[c] if w != parent[c]])
+            if 2 * largest > n:
+                raise GraphDefectError(
+                    f"centroid {c} leaves a component of {largest} > {n}/2 vertices"
+                )
+        return tuple(sorted(found))
+
     def bfs_order(self, root: int) -> list[int]:
         """Vertices in BFS order of the underlying tree, neighbours ascending."""
         return self.rooted(root).order

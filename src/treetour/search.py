@@ -28,7 +28,8 @@ holds every image (default: all of G).  The strategies place each tree
 component inside such a region.
 
 All searches are deterministic: tree vertices are processed in BFS order
-from the tree's 2-core vertex (the centroid), candidate images ascending.
+from the tree's smallest centroid (``DirectedTree.centroids``, one walk
+down the subtree sizes from vertex 0), candidate images ascending.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .graphs import (
     full_mask,
     is_valid_embedding,
 )
-from .weights import core_tree
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -88,29 +88,33 @@ def _region_mask(G: Tournament, region: int | None) -> int:
 def _search_plan(
     T: DirectedTree,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...], tuple[int, ...], tuple[int, ...]]:
-    """BFS order from the smallest-id 2-core vertex (a centroid), with per
-    position (parent position, direction), plus future out/in needs.
+    """BFS order from the tree's smallest centroid (``T.centroids()[0]``,
+    the smallest-id vertex of its 2-core), with per position (parent
+    position, direction), plus future out/in needs.
 
-    direction "out" means the tree arc runs parent -> vertex.  The plan
+    direction "out" means the tree arc runs parent -> vertex.  Every
+    neighbour of a vertex but its BFS parent comes later in the order, so
+    its needs are its out- and in-degree less the parent arc.  The plan
     depends on the tree alone, so it is built once per tree object, kept
     in ``T.plan`` and shared by every host; its parts are tuples.
     """
     if T.plan is not None:
         return T.plan
-    root = next(bits(core_tree(T, 2).vertices))
-    order, parent, _ = T.rooted(root)
+    order, parent, _ = T.rooted(T.centroids()[0])
     pos = [0] * T.n
     for i, v in enumerate(order):
         pos[v] = i
+    out_need = [len(x) for x in T.out_nbrs]
+    in_need = [len(x) for x in T.in_nbrs]
     parents: list[tuple[int, str]] = [(-1, "")]
     for v in order[1:]:
         w = parent[v]
-        parents.append((pos[w], "out" if T.has_arc(w, v) else "in"))
-    out_need = [0] * T.n
-    in_need = [0] * T.n
-    for v in order:
-        out_need[v] = sum(1 for w in T.out_nbrs[v] if pos[w] > pos[v])
-        in_need[v] = sum(1 for w in T.in_nbrs[v] if pos[w] > pos[v])
+        if w in T.in_nbrs[v]:
+            parents.append((pos[w], "out"))
+            in_need[v] -= 1
+        else:
+            parents.append((pos[w], "in"))
+            out_need[v] -= 1
     T.plan = (tuple(order), tuple(parents), tuple(out_need), tuple(in_need))
     return T.plan
 
@@ -354,8 +358,9 @@ def redei_path(G: Tournament) -> list[int]:
                     break
         else:
             order.append(v)
+    rows = G.out_rows
     for a, b in zip(order, order[1:]):
-        if not G.has_arc(a, b):  # pragma: no cover
+        if not (rows[a] >> b) & 1:  # pragma: no cover
             raise GraphDefectError("insertion produced a non-path")
     return order
 

@@ -613,7 +613,7 @@ def directed_path_order(T: DirectedTree) -> list[int] | None:
 
 
 def _path_order(T: DirectedTree) -> tuple[int, ...]:
-    if any(len(T.out_nbrs[v]) > 1 or len(T.in_nbrs[v]) > 1 for v in range(T.n)):
+    if max(map(len, T.out_nbrs)) > 1 or max(map(len, T.in_nbrs)) > 1:
         return ()
     sources = [v for v in range(T.n) if not T.in_nbrs[v]]
     if len(sources) != 1:

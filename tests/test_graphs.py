@@ -17,6 +17,7 @@ import pytest
 
 from treetour import (
     DirectedTree,
+    GraphDefectError,
     PartialMapError,
     Tournament,
     canonical_form,
@@ -28,6 +29,7 @@ from treetour import (
 )
 from treetour.generate import (
     directed_path,
+    enumerate_oriented_trees,
     inward_star,
     random_oriented_tree,
     random_tournament,
@@ -36,6 +38,7 @@ from treetour.generate import (
 )
 from treetour.graphs import (
     CANONICAL_MAX_N,
+    Rooted,
     bit_list,
     bits,
     full_mask,
@@ -165,6 +168,60 @@ def test_outbranching_recognition():
     assert directed_path(4).root_of_outbranching() == 0
     assert not inward_star(3).is_outbranching()
     assert inward_star(3).reverse().is_outbranching()
+
+
+def _oracle_centroids(T: DirectedTree) -> list[int]:
+    """Independent recount: delete each vertex and measure every component
+    left by a breadth-first search over the arc list."""
+    adj = {v: set() for v in range(T.n)}
+    for u, v in T.arcs:
+        adj[u].add(v)
+        adj[v].add(u)
+    found = []
+    for x in range(T.n):
+        seen = {x}
+        largest = 0
+        for start in adj[x]:
+            queue = [start]
+            seen.add(start)
+            for y in queue:
+                for z in adj[y] - seen:
+                    seen.add(z)
+                    queue.append(z)
+            largest = max(largest, len(queue))
+        if 2 * largest <= T.n:
+            found.append(x)
+    return found
+
+
+def test_centroids_match_the_vertex_deletion_oracle():
+    rng = random.Random(19)
+    trees = [DirectedTree(2, [(1, 0)]), directed_path(2), inward_star(9), directed_path(10)]
+    for n in range(1, 9):
+        for T in enumerate_oriented_trees(n):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            trees.append(DirectedTree(n, [(sigma[u], sigma[v]) for u, v in T.arcs]))
+    trees += [random_oriented_tree(rng.randint(1, 400), seed=1900 + s) for s in range(100)]
+    sizes = Counter()
+    for T in trees:
+        cents = T.centroids()
+        assert list(cents) == _oracle_centroids(T), T
+        sizes[len(cents)] += 1
+    assert set(sizes) == {1, 2} and sum(sizes.values()) == 4 + 1857 + 100
+
+
+def test_centroids_check_the_defining_inequality(monkeypatch):
+    T = directed_path(5)
+    rooted = DirectedTree.rooted
+
+    def shrunk(self, root):
+        order, parent, size = rooted(self, root)
+        return Rooted(order, parent, [1] * self.n)
+
+    monkeypatch.setattr(DirectedTree, "rooted", shrunk)
+    with pytest.raises(GraphDefectError, match="centroid 0 leaves a component of 4 > 5/2"):
+        T.centroids()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 import treetour
 from treetour import (
     CampaignSummary,
+    DirectedTree,
     GraphDefectError,
     ParseError,
     PropertyConfig,
@@ -33,11 +34,12 @@ from treetour import (
     verify_sharpness,
     verify_sumner,
 )
-from treetour import cli, reports, search
+from treetour import cli, reports
 from treetour.cli import main
 from treetour.formats import write_tournament, write_tree
 from treetour.generate import (
     directed_path,
+    enumerate_oriented_trees,
     inward_star,
     random_oriented_tree,
     random_tournament,
@@ -127,7 +129,13 @@ def test_campaign_parses_each_text_once_and_plans_each_tree_once(monkeypatch):
     monkeypatch.setattr(
         reports, "parse_tournament", counted(reports.parse_tournament, "host", str)
     )
-    monkeypatch.setattr(search, "core_tree", counted(search.core_tree, "plan", write_tree))
+    # A search plan is rooted at the tree's first centroid, so centroid calls
+    # count plan builds.  The isomorphism keys of the tree enumeration call
+    # it too; enumerating first leaves only the campaign's plans to count.
+    list(enumerate_oriented_trees(5))
+    monkeypatch.setattr(
+        DirectedTree, "centroids", counted(DirectedTree.centroids, "plan", write_tree)
+    )
     runs = [verify_sumner(5, ("sample", 3, 0), "iso") for _ in range(2)]
     for _, summary in runs:
         assert summary.total == 81 and summary.all_ok

@@ -18,6 +18,7 @@ from treetour import (
     EmbedOutcome,
     GraphDefectError,
     Tournament,
+    core_tree,
     embed_outbranching,
     exhaustive_embed,
     forward_arc_count,
@@ -28,6 +29,7 @@ from treetour import (
 )
 from treetour.generate import (
     directed_path,
+    enumerate_oriented_trees,
     inward_star,
     outward_star,
     random_oriented_tree,
@@ -192,6 +194,65 @@ def test_cached_plan_matches_a_fresh_tree_across_hosts():
             assert tree.plan is plan
         assert T.reverse().plan is None
         assert T == DirectedTree(T.n, T.arcs) and hash(T) == hash(DirectedTree(T.n, T.arcs))
+
+
+# Reference: the search plan before it was rooted at
+# ``DirectedTree.centroids`` and read its needs off the BFS parents, kept
+# verbatim.  It validated the whole 2-core to read its smallest vertex and
+# counted each vertex's later neighbours one by one.  Plans fix the search
+# order of every digested embedding, so the two must agree exactly.
+
+
+def _reference_search_plan(
+    T: DirectedTree,
+) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...], tuple[int, ...], tuple[int, ...]]:
+    if T.plan is not None:
+        return T.plan
+    root = next(bits(core_tree(T, 2).vertices))
+    order, parent, _ = T.rooted(root)
+    pos = [0] * T.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    parents: list[tuple[int, str]] = [(-1, "")]
+    for v in order[1:]:
+        w = parent[v]
+        parents.append((pos[w], "out" if T.has_arc(w, v) else "in"))
+    out_need = [0] * T.n
+    in_need = [0] * T.n
+    for v in order:
+        out_need[v] = sum(1 for w in T.out_nbrs[v] if pos[w] > pos[v])
+        in_need[v] = sum(1 for w in T.in_nbrs[v] if pos[w] > pos[v])
+    T.plan = (tuple(order), tuple(parents), tuple(out_need), tuple(in_need))
+    return T.plan
+
+
+def _plan_corpus():
+    """Every oriented tree on up to 8 vertices under three seeded
+    relabellings, both two-vertex orientations, and 300 random trees on
+    up to 400 vertices."""
+    rng = random.Random(19)
+    for n in range(1, 9):
+        for T in enumerate_oriented_trees(n):
+            for _ in range(3):
+                sigma = list(range(n))
+                rng.shuffle(sigma)
+                yield DirectedTree(n, [(sigma[u], sigma[v]) for u, v in T.arcs])
+    yield DirectedTree(2, [(0, 1)])
+    yield DirectedTree(2, [(1, 0)])
+    for s in range(300):
+        yield random_oriented_tree(rng.randint(1, 400), seed=1900 + s)
+
+
+def test_search_plan_matches_the_two_core_reference():
+    trees = 0
+    for T in _plan_corpus():
+        # Each side builds on its own fresh copy: a plan kept on the tree
+        # would be returned unchanged by the other.
+        plan = search._search_plan(DirectedTree(T.n, T.arcs))
+        assert plan == _reference_search_plan(DirectedTree(T.n, T.arcs)), T
+        assert plan[0][0] == T.centroids()[0]
+        trees += 1
+    assert trees == 3 * (1 + 1 + 3 + 8 + 27 + 91 + 350 + 1376) + 2 + 300
 
 
 # Reference: the greedy loop that counts both residual neighbourhoods of

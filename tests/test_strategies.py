@@ -7,6 +7,7 @@ X-occupancy cap, landing counts in a designated subset, image-side
 guarantees, and the reversal dualities.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -323,6 +324,64 @@ def test_directed_path_order_is_computed_once_per_tree(monkeypatch):
     # one computation per tree object: P, T and each of their 8 fresh copies
     assert sum(c is P for c in calls) == 1 and sum(c is T for c in calls) == 1
     assert len(calls) == 2 + 8
+
+
+# Reference: the directed-path test before it rejected branching vertices
+# by the largest out- and in-degree, kept verbatim.
+
+
+def _reference_path_order(T: DirectedTree) -> tuple[int, ...]:
+    if any(len(T.out_nbrs[v]) > 1 or len(T.in_nbrs[v]) > 1 for v in range(T.n)):
+        return ()
+    sources = [v for v in range(T.n) if not T.in_nbrs[v]]
+    if len(sources) != 1:
+        return ()
+    order = [sources[0]]
+    while T.out_nbrs[order[-1]]:
+        order.append(T.out_nbrs[order[-1]][0])
+    return tuple(order) if len(order) == T.n else ()
+
+
+def _path_order_corpus():
+    """Every oriented tree on up to 8 vertices under three seeded
+    relabellings, 300 random trees on up to 400 vertices, and relabelled
+    directed paths on up to 1,600 vertices, each also with one arc
+    reversed and with one leaf hung off its middle."""
+    rng = random.Random(19)
+
+    def relabelled(n, arcs):
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        return DirectedTree(n, [(sigma[u], sigma[v]) for u, v in arcs])
+
+    for n in range(1, 9):
+        for T in enumerate_oriented_trees(n):
+            for _ in range(3):
+                yield relabelled(n, T.arcs)
+    yield DirectedTree(2, [(0, 1)])
+    yield DirectedTree(2, [(1, 0)])
+    for s in range(300):
+        yield random_oriented_tree(rng.randint(1, 400), seed=1900 + s)
+    for n in (*range(1, 30), 399, 1400, 1500, 1600):
+        arcs = [(i, i + 1) for i in range(n - 1)]
+        yield relabelled(n, arcs)
+        if n > 1:
+            k = rng.randrange(n - 1)
+            yield relabelled(n, arcs[:k] + [(k + 1, k)] + arcs[k + 1:])
+        yield relabelled(n + 1, arcs + [(n // 2, n)])
+
+
+def test_path_order_matches_the_reference():
+    paths = 0
+    for T in _path_order_corpus():
+        order = strategies._path_order(T)
+        assert order == _reference_path_order(T), T
+        paths += bool(order)
+    # The directed paths: one class per n = 1..8 under three relabellings,
+    # both two-vertex orientations, the random trees on 1 and 2 vertices,
+    # the 33 corpus paths, the two-vertex one with its arc reversed, and
+    # the one- and two-vertex ones with a leaf hung off their end.
+    assert paths == 24 + 2 + 2 + 33 + 1 + 2
 
 
 def test_portfolio_validates_each_embedding_once(monkeypatch):
