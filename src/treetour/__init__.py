@@ -10,16 +10,12 @@ orientation of a tree.  This package provides:
 - base embedding procedures: complete backtracking search, Redei
   (Hamiltonian directed) paths, median orders, outbranching embedding and
   a greedy embedder (:mod:`treetour.search`);
-- structured embedding strategies built from finite embedding lemmas:
-  round-the-back, one-by-one extension, component-by-component extension,
-  and a portfolio driver over greedy, path, branching and complete search
+- a portfolio driver over greedy, path, branching and complete search
   (:mod:`treetour.strategies`);
 - robust outexpander verdicts, non-expander splits, and a tournament
   decomposition into expander/small pieces (:mod:`treetour.expansion`);
-- deterministic seeded generators, exhaustive enumeration up to
-  isomorphism, and hypothesis-satisfying instance builders with
-  per-hypothesis mutators (:mod:`treetour.generate`,
-  :mod:`treetour.instances`);
+- deterministic seeded generators and exhaustive enumeration up to
+  isomorphism (:mod:`treetour.generate`);
 - a batch verification harness, property suites with counterexample
   shrinking, and a CLI (:mod:`treetour.reports`, :mod:`treetour.props`,
   :mod:`treetour.cli`).
@@ -33,7 +29,6 @@ __version__ = "0.1.0"
 from .graphs import (
     DirectedTree,
     GraphDefectError,
-    HypothesisViolation,
     ParseError,
     PartialMapError,
     Tournament,
@@ -70,24 +65,7 @@ from .generate import (
     stream,
     transitive_tournament,
 )
-from .strategies import (
-    OneByOneInstance,
-    RoundTheBackInstance,
-    TwoSetInstance,
-    component_by_component,
-    dual_component_by_component,
-    extend_one_by_one,
-    portfolio_embed,
-    round_the_back,
-)
-from .instances import (
-    break_one_by_one,
-    break_round_the_back,
-    break_two_set,
-    random_one_by_one_instance,
-    random_round_the_back_instance,
-    random_two_set_instance,
-)
+from .strategies import portfolio_embed
 from .expansion import (
     ExpanderVerdict,
     SplitResult,
@@ -119,7 +97,6 @@ __all__ = [
     # graphs
     "DirectedTree",
     "GraphDefectError",
-    "HypothesisViolation",
     "ParseError",
     "PartialMapError",
     "Tournament",
@@ -157,21 +134,7 @@ __all__ = [
     "stream",
     "transitive_tournament",
     # strategies
-    "OneByOneInstance",
-    "RoundTheBackInstance",
-    "TwoSetInstance",
-    "component_by_component",
-    "dual_component_by_component",
-    "extend_one_by_one",
     "portfolio_embed",
-    "round_the_back",
-    # instances
-    "break_one_by_one",
-    "break_round_the_back",
-    "break_two_set",
-    "random_one_by_one_instance",
-    "random_round_the_back_instance",
-    "random_two_set_instance",
     # expansion
     "ExpanderVerdict",
     "SplitResult",

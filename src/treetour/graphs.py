@@ -32,13 +32,6 @@ class PartialMapError(ValueError):
     """An embedding check was handed a map that is not total on the tree."""
 
 
-class HypothesisViolation(ValueError):
-    """An instance handed to a structured strategy fails a stated hypothesis.
-
-    The message names the hypothesis that failed.
-    """
-
-
 class GraphDefectError(RuntimeError):
     """An internal guarantee was violated; indicates a bug, not bad input."""
 
@@ -85,22 +78,6 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
 def bit_list(mask: int) -> list[int]:
     """The vertices of a bitmask as an ascending list."""
     return list(bits(mask))
-
-
-def lsb(mask: int) -> int:
-    """The smallest vertex of a bitmask (-1 for the empty set)."""
-    return (mask & -mask).bit_length() - 1
-
-
-def first_bits(mask: int, k: int) -> int:
-    """The k lowest set bits of mask (all of them if fewer than k)."""
-    out = 0
-    while k > 0 and mask:
-        low = mask & -mask
-        out |= low
-        mask ^= low
-        k -= 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .generate import (
 )
 from .graphs import (
     DirectedTree,
-    HypothesisViolation,
     ParseError,
     Tournament,
     bit_list,
@@ -56,14 +55,6 @@ from .graphs import (
     full_mask,
     is_valid_embedding,
     mask_of,
-)
-from .instances import (
-    break_one_by_one,
-    break_round_the_back,
-    break_two_set,
-    random_one_by_one_instance,
-    random_round_the_back_instance,
-    random_two_set_instance,
 )
 from .reports import CampaignSummary
 from .search import (
@@ -76,14 +67,7 @@ from .search import (
     median_order,
     redei_path,
 )
-from .strategies import (
-    TwoSetInstance,
-    component_by_component,
-    dual_component_by_component,
-    extend_one_by_one,
-    portfolio_embed,
-    round_the_back,
-)
+from .strategies import portfolio_embed
 from .weights import core_tree, hanging_components, weight_profile
 
 __all__ = [
@@ -314,10 +298,6 @@ def _outbranching_of(T: DirectedTree) -> DirectedTree:
                 parent[w] = v
                 arcs.append((v, w))
     return DirectedTree(T.n, arcs)
-
-
-def _branch_sizes(T: DirectedTree, t: int) -> list[int]:
-    return [c.bit_count() for c in _tree_components(T, 1 << t)]
 
 
 # ---------------------------------------------------------------------------
@@ -860,187 +840,7 @@ def _outbranching_embeds(config, col):
 
 
 # ---------------------------------------------------------------------------
-# Structured embedding strategies
-
-def _check_rtb(col, case, inst, phi):
-    col.check(
-        is_valid_embedding(inst.T, inst.G, phi),
-        case,
-        "round-the-back produced an invalid embedding",
-    )
-    col.check(phi[inst.t] == inst.v, case, "tree root not placed on v")
-    image = mask_of(phi.values())
-    col.check(
-        image & ~((1 << inst.v) | inst.N | inst.X) == 0,
-        case,
-        "image leaves the designated host regions",
-    )
-    d = max(_branch_sizes(inst.T, inst.t), default=0)
-    col.check(
-        (image & inst.X).bit_count() <= 4 * d,
-        case,
-        "more than 4d vertices of the reservoir were used",
-    )
-
-
-def _check_obo(col, case, inst, phi):
-    col.check(
-        is_valid_embedding(inst.T, inst.G, phi),
-        case,
-        "one-by-one extension produced an invalid embedding",
-    )
-    col.check(
-        all(phi[k] == v for k, v in inst.seed.items()),
-        case,
-        "extension moved the seeded subtree",
-    )
-    new_image = mask_of(
-        phi[u] for u in range(inst.T.n) if u not in inst.seed
-    )
-    col.check(
-        new_image & ~inst.N == 0,
-        case,
-        "a new vertex landed outside N",
-    )
-    if inst.variant == "b":
-        col.check(
-            (new_image & inst.N_prime).bit_count() >= inst.r,
-            case,
-            "fewer than r new vertices landed in N'",
-        )
-
-
-def _check_two_set(col, case, inst, phi):
-    col.check(
-        is_valid_embedding(inst.T, inst.G, phi),
-        case,
-        "two-set embedding is invalid",
-    )
-    col.check(
-        all(phi[k] == v for k, v in inst.seed.items()),
-        case,
-        "two-set embedding moved the seeded component",
-    )
-    col.check(
-        all((inst.Y >> phi[u]) & 1 for u in bits(inst.F_plus)),
-        case,
-        "a forward-forest vertex landed outside Y",
-    )
-    col.check(
-        all((inst.Z >> phi[u]) & 1 for u in bits(inst.F_minus)),
-        case,
-        "a backward-forest vertex landed outside Z",
-    )
-
-
-@_suite("lemma-contracts")
-def _lemma_contracts(config, col):
-    rng = stream(config.seed, "props:lemma-contracts")
-    cases = _cases(1000, config)
-    for i in range(cases):
-        if col.full:
-            return i
-        seed = rng.next64()
-        kind = i % 5
-        if kind == 0:
-            inst = random_round_the_back_instance(seed)
-            _check_rtb(col, f"case{i}:rtb", inst, round_the_back(inst))
-        elif kind in (1, 2, 3):
-            variant = "abc"[kind - 1]
-            inst = random_one_by_one_instance(seed, variant)
-            _check_obo(
-                col, f"case{i}:obo-{variant}", inst, extend_one_by_one(inst)
-            )
-        else:
-            inst = random_two_set_instance(seed)
-            _check_two_set(
-                col, f"case{i}:two-set", inst, component_by_component(inst)
-            )
-            rev = TwoSetInstance(
-                T=inst.T.reverse(),
-                F_minus=inst.F_plus,
-                F_plus=inst.F_minus,
-                G=inst.G.reverse(),
-                Y=inst.Z,
-                Z=inst.Y,
-                gamma=inst.gamma,
-                alpha=inst.alpha,
-                seed=inst.seed,
-            )
-            _check_two_set(
-                col,
-                f"case{i}:two-set-dual",
-                rev,
-                dual_component_by_component(rev),
-            )
-    return cases
-
-
-@_suite("hypothesis-rejection")
-def _hypothesis_rejection(config, col):
-    rng = stream(config.seed, "props:hypothesis-rejection")
-    cases = _cases(200, config)
-    for i in range(cases):
-        if col.full:
-            return i
-        seed = rng.next64()
-        inst = random_round_the_back_instance(seed)
-        for which in ("(root)", "(N-size)", "(N-out)", "(X-capacity)"):
-            _expect_rejection(
-                col, f"case{i}:rtb:{which}", which,
-                lambda: round_the_back(break_round_the_back(inst, which)),
-            )
-        for variant in ("a", "b", "c"):
-            obo = random_one_by_one_instance(seed, variant)
-            crossing = [
-                ((obo.T_c >> a) & 1, (obo.T_c >> b) & 1) for a, b in obo.T.arcs
-            ]
-            has_out = any(a and not b for a, b in crossing)
-            n_comps = sum(1 for a, b in crossing if a != b)
-            if variant == "a":
-                targets = ["(i)", "(ii)", "(seed)"]
-            elif variant == "b":
-                targets = ["(i)", "(ii)", "(iii)", "(iv)", "(seed)"]
-            else:
-                targets = ["(i)" if has_out else "(ii)", "(seed)"]
-                if n_comps >= 2:
-                    targets.append("(direction)")
-            for which in targets:
-                _expect_rejection(
-                    col, f"case{i}:obo-{variant}:{which}", which,
-                    lambda: extend_one_by_one(break_one_by_one(obo, which)),
-                )
-        ts = random_two_set_instance(seed)
-        for which in (
-            "(cross-direction)",
-            "(Y-size)",
-            "(Z-size)",
-            "(Y-out-gamma)",
-            "(Z-in-gamma)",
-            "(seed)",
-        ):
-            _expect_rejection(
-                col, f"case{i}:two-set:{which}", which,
-                lambda: component_by_component(break_two_set(ts, which)),
-            )
-    return cases
-
-
-def _expect_rejection(col, case, which, thunk):
-    try:
-        thunk()
-    except HypothesisViolation as e:
-        col.check(
-            str(e).startswith(which),
-            case,
-            f"rejected with {str(e).split(':')[0]!r} instead of {which!r}",
-        )
-    except ValueError as e:
-        if "cannot break" not in str(e) and "no slack" not in str(e):
-            col.fail(case, f"unexpected error from mutation: {e}")
-    else:
-        col.fail(case, "damaged instance was accepted")
-
+# Portfolio driver
 
 @_suite("reversal-duality")
 def _reversal_duality(config, col):

@@ -15,7 +15,7 @@
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
 - :func:`greedy_embed`: fast incomplete first attempt inside a host
-  region, used by the structured strategies before the complete search;
+  region, tried by the portfolio before the complete search;
   a candidate's residual in-degree is read off its out-degree (ro + ri
   is the same for every candidate).  Below ``GREEDY_COUNTER_MIN_N`` host
   vertices the candidates are scanned, one AND and one popcount each,
@@ -24,8 +24,7 @@
   a level tries the scores from the top with a few mask ANDs each.
 
 The two searches take one constraint, ``region``: a host bitmask that
-holds every image (default: all of G).  The strategies place each tree
-component inside such a region.
+holds every image (default: all of G).
 
 All searches are deterministic: tree vertices are processed in BFS order
 from the tree's smallest centroid (``DirectedTree.centroids``, one walk

@@ -64,7 +64,7 @@ def weight_profile(T: DirectedTree) -> WeightProfile:
 
 
 class Hanging(NamedTuple):
-    """A component of T[region] with its single attaching arc to a set C."""
+    """A component of T - C with its single attaching arc to C."""
 
     comp: int
     inner: int  # end of the attaching arc in C
@@ -105,17 +105,15 @@ def tree_components(T: DirectedTree, region: int) -> list[int]:
     return [comp for comp, _ in _walk(T, region, 0)]
 
 
-def hanging_components(T: DirectedTree, C: int, region: int | None = None) -> list[Hanging]:
-    """Components of T[region] (default T - C) with their attaching arcs to C.
+def hanging_components(T: DirectedTree, C: int) -> list[Hanging]:
+    """Components of T - C with their attaching arcs to C.
 
     Listed by smallest member.  Each component must meet C by exactly one
-    tree edge, which holds whenever T[region | C] is connected and C is;
-    anything else raises :class:`GraphDefectError`.
+    tree edge, which holds whenever C is connected; anything else raises
+    :class:`GraphDefectError`.
     """
-    if region is None:
-        region = ((1 << T.n) - 1) & ~C
     out: list[Hanging] = []
-    for comp, links in _walk(T, region, C):
+    for comp, links in _walk(T, ((1 << T.n) - 1) & ~C, C):
         if len(links) != 1:
             raise GraphDefectError(
                 f"component {bit_list(comp)} attaches to the subtree by {len(links)} edges"

@@ -285,7 +285,7 @@ def test_negative_control_catches_injected_defect():
 def test_suite_outcomes_are_reproducible():
     def fingerprint():
         results, _ = run_property_suites(
-            ["core-tree-props", "lemma-contracts"], PropertyConfig(seed=3, scale=0.05)
+            ["core-tree-props", "reversal-duality"], PropertyConfig(seed=3, scale=0.05)
         )
         return [(r.name, r.cases, r.ok, tuple(map(str, r.failures))) for r in results]
 
