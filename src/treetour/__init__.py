@@ -12,6 +12,8 @@ orientation of a tree.  This package provides:
   a greedy embedder (:mod:`treetour.search`);
 - a portfolio driver over greedy, path, branching and complete search
   (:mod:`treetour.strategies`);
+- the two-set embedding lemma of the approximate Sumner proof, with
+  seeded instances (:mod:`treetour.twoset`, not imported here);
 - robust outexpander verdicts, non-expander splits, and a tournament
   decomposition into expander/small pieces (:mod:`treetour.expansion`);
 - deterministic seeded generators and exhaustive enumeration up to
