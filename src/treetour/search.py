@@ -1,8 +1,8 @@
 """Base embedding procedures.
 
-- :func:`exhaustive_embed`: complete backtracking search inside a host
-  region, within a node budget; its NotFound is a non-existence
-  certificate (used to certify sharpness constructions).
+- :func:`exhaustive_embed`: complete backtracking search within a node
+  budget; its NotFound is a non-existence certificate (used to certify
+  sharpness constructions).
 - :func:`redei_path`: Hamiltonian directed path by first-beat insertion;
   a vertex that beats no placed vertex (one mask test) is appended
   without a scan.
@@ -14,17 +14,14 @@
 - :func:`embed_outbranching`: median-order-guided greedy embedding of
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
-- :func:`greedy_embed`: fast incomplete first attempt inside a host
-  region, tried by the portfolio before the complete search;
+- :func:`greedy_embed`: fast incomplete first attempt, tried by the
+  portfolio before the complete search;
   a candidate's residual in-degree is read off its out-degree (ro + ri
   is the same for every candidate).  Below ``GREEDY_COUNTER_MIN_N`` host
   vertices the candidates are scanned, one AND and one popcount each,
   up to the first scoring the most any can; larger hosts keep every
   vertex's ro in bit-sliced counters (about log2(n) host-wide ints), so
   a level tries the scores from the top with a few mask ANDs each.
-
-The two searches take one constraint, ``region``: a host bitmask that
-holds every image (default: all of G).
 
 All searches are deterministic: tree vertices are processed in BFS order
 from the tree's smallest centroid (``DirectedTree.centroids``, one walk
@@ -74,16 +71,6 @@ class EmbedOutcome:
         return self.verdict == FOUND
 
 
-def _region_mask(G: Tournament, region: int | None) -> int:
-    """The host region as a mask; None means all of G."""
-    everything = full_mask(G.n)
-    if region is None:
-        return everything
-    if region < 0 or region & ~everything:
-        raise ValueError(f"region {region:#x} is not a set of {G.n} host vertices")
-    return region
-
-
 def _search_plan(
     T: DirectedTree,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...], tuple[int, ...], tuple[int, ...]]:
@@ -122,35 +109,28 @@ def exhaustive_embed(
     T: DirectedTree,
     G: Tournament,
     *,
-    region: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> EmbedOutcome:
-    """Complete backtracking search for an embedding of T into G[region].
+    """Complete backtracking search for an embedding of T into G.
 
-    ``region`` is a host bitmask (default: all of G) holding every image;
-    the degree look-ahead still counts unused vertices of the whole host.
-    Found outcomes are valid and inside the region; NotFound means no
-    embedding into the region exists; BudgetExhausted means the search
-    took more than ``node_budget`` nodes.  A region with host ids outside
-    ``0 .. G.n-1`` raises ValueError.
+    Found outcomes are valid; NotFound means no embedding exists;
+    BudgetExhausted means the search took more than ``node_budget`` nodes.
     """
-    region = _region_mask(G, region)
     order, parents, out_need, in_need = _search_plan(T)
-    if T.n > region.bit_count():
+    if T.n > G.n:
         return EmbedOutcome(NOT_FOUND, None, 0, "exhaustive", ("too few available vertices",))
 
     n_t = T.n
     nodes = 0
     images = [0] * n_t
-    # The unused vertices of the host and of the region, kept as masks:
-    # placing an image clears its bit in both, backtracking sets it again.
+    # The unused host vertices, kept as a mask: placing an image clears
+    # its bit, backtracking sets it again.
     unused = full_mask(G.n)
-    avail = region
     cand: list[int] = [0] * n_t
     out_rows, in_rows = G.out_rows, G.in_rows
 
     level = 0
-    cand[0] = region
+    cand[0] = unused
     while True:
         if cand[level]:
             low = cand[level] & -cand[level]
@@ -172,17 +152,15 @@ def exhaustive_embed(
                     raise GraphDefectError("search produced an invalid embedding")
                 return EmbedOutcome(FOUND, mapping, nodes, "exhaustive")
             unused = free
-            avail ^= low
             level += 1
             ppos, pdir = parents[level]
-            cand[level] = avail & (out_rows if pdir == "out" else in_rows)[images[ppos]]
+            cand[level] = unused & (out_rows if pdir == "out" else in_rows)[images[ppos]]
         else:
             if level == 0:
                 return EmbedOutcome(NOT_FOUND, None, nodes, "exhaustive")
             level -= 1
             low = 1 << images[level]
             unused |= low
-            avail |= low
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -256,17 +234,15 @@ def _counter_pick(planes: list[int], m: int, rest: int, min_ro: int, max_ro: int
     return -1
 
 
-def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -> EmbedOutcome:
-    """One greedy pass into G[region], no backtracking; incomplete by design.
+def greedy_embed(T: DirectedTree, G: Tournament) -> EmbedOutcome:
+    """One greedy pass into G, no backtracking; incomplete by design.
 
-    ``region`` is a host bitmask (default: all of G) holding every image.
     Each tree vertex takes the admissible image maximizing the smaller of
-    its residual out/in neighbourhood sizes over the whole host (ties to
-    the smallest id).  An unused candidate g has every other unused vertex
-    as exactly one of an out- or in-neighbour, so its residual sizes
-    satisfy ro + ri = rest, the number of unused vertices besides g, which
-    is the same for every candidate at a level, and no candidate scores
-    more than rest // 2.
+    its residual out/in neighbourhood sizes (ties to the smallest id).  An
+    unused candidate g has every other unused vertex as exactly one of an
+    out- or in-neighbour, so its residual sizes satisfy ro + ri = rest,
+    the number of unused vertices besides g, which is the same for every
+    candidate at a level, and no candidate scores more than rest // 2.
 
     Below ``GREEDY_COUNTER_MIN_N`` host vertices the candidates are
     scanned in id order, each costing one AND and one popcount (ro), and
@@ -278,22 +254,19 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
     subtracts the row ``in_rows[g]`` (:func:`_take_one`), so a level costs
     O(log n) big-int operations instead of one popcount per candidate.
     Both paths return the same outcome.  Returns Found or BudgetExhausted,
-    never NotFound.  A region with host ids outside ``0 .. G.n-1`` raises
-    ValueError.
+    never NotFound.
     """
-    region = _region_mask(G, region)
     order, parents, out_need, in_need = _search_plan(T)
-    if T.n > region.bit_count():
+    if T.n > G.n:
         return EmbedOutcome(BUDGET_EXHAUSTED, None, 0, "greedy", ("too few available vertices",))
     out_rows, in_rows = G.out_rows, G.in_rows
     planes = _out_degree_planes(G) if G.n >= GREEDY_COUNTER_MIN_N else None
     images: list[int] = []
-    unused = full_mask(G.n)  # the unused vertices of the host
-    avail = region  # and of the region
+    unused = full_mask(G.n)
     rest = G.n - 1
     nodes = 0
     for level, u in enumerate(order):
-        m = avail
+        m = unused
         if level:
             ppos, pdir = parents[level]
             m &= (out_rows if pdir == "out" else in_rows)[images[ppos]]
@@ -324,7 +297,6 @@ def greedy_embed(T: DirectedTree, G: Tournament, *, region: int | None = None) -
         images.append(best_g)
         low = 1 << best_g
         unused ^= low
-        avail ^= low
         rest -= 1
         if planes is not None:
             _take_one(planes, in_rows[best_g])

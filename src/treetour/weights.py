@@ -64,11 +64,9 @@ def weight_profile(T: DirectedTree) -> WeightProfile:
 
 
 class Hanging(NamedTuple):
-    """A component of T - C with its single attaching arc to C."""
+    """A component of T - C with the direction of its one arc to C."""
 
     comp: int
-    inner: int  # end of the attaching arc in C
-    outer: int  # end of the attaching arc in the component
     direction: str  # "out" when the arc runs C -> component, else "in"
 
 
@@ -100,13 +98,8 @@ def _walk(T: DirectedTree, region: int, C: int) -> list[tuple[int, list[tuple[in
     return found
 
 
-def tree_components(T: DirectedTree, region: int) -> list[int]:
-    """Vertex masks of the components of T[region], by smallest member."""
-    return [comp for comp, _ in _walk(T, region, 0)]
-
-
 def hanging_components(T: DirectedTree, C: int) -> list[Hanging]:
-    """Components of T - C with their attaching arcs to C.
+    """Components of T - C with the directions of their arcs to C.
 
     Listed by smallest member.  Each component must meet C by exactly one
     tree edge, which holds whenever C is connected; anything else raises
@@ -119,14 +112,14 @@ def hanging_components(T: DirectedTree, C: int) -> list[Hanging]:
                 f"component {bit_list(comp)} attaches to the subtree by {len(links)} edges"
             )
         ((inner, outer),) = links
-        out.append(Hanging(comp, inner, outer, "out" if T.has_arc(inner, outer) else "in"))
+        out.append(Hanging(comp, "out" if T.has_arc(inner, outer) else "in"))
     return out
 
 
 def _check_connected(T: DirectedTree, subset: int) -> None:
     if not subset:
         raise ValueError("subset must be nonempty")
-    if len(tree_components(T, subset)) != 1:
+    if len(_walk(T, subset, 0)) != 1:
         raise ValueError("subset does not induce a connected subtree")
 
 

@@ -618,3 +618,32 @@ def test_no_module_level_import_goes_unused():
         if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert unused == {}
+
+
+def test_running_the_package_loads_every_module():
+    # ``python -m treetour --version`` in a fresh interpreter loads the
+    # package and its command line; this process may have imported modules
+    # that neither reaches.
+    program = (
+        "import runpy, sys\n"
+        "sys.argv = ['treetour', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('treetour', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program],
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    modules = {f"treetour.{path.stem}" for path in _PACKAGE_FILES} - {
+        "treetour.__init__",
+        "treetour.__main__",
+    }
+    assert sorted(modules - loaded) == []

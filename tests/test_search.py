@@ -39,16 +39,15 @@ from treetour.generate import (
 )
 from treetour import search
 from treetour.formats import parse_tournament
-from treetour.graphs import bits, full_mask, mask_of
+from treetour.graphs import bits, full_mask
 from treetour.search import GREEDY_COUNTER_MIN_N, MEDIAN_EXACT_MAX_N
 
 CYCLE3 = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def brute_force_embeds(T: DirectedTree, G: Tournament, region: int | None = None) -> bool:
-    """Independent oracle: try every injection tree -> host (or region)."""
-    hosts = range(G.n) if region is None else [v for v in range(G.n) if (region >> v) & 1]
-    for image in itertools.permutations(hosts, T.n):
+def brute_force_embeds(T: DirectedTree, G: Tournament) -> bool:
+    """Independent oracle: try every injection tree -> host."""
+    for image in itertools.permutations(range(G.n), T.n):
         if all(G.has_arc(image[u], image[v]) for u, v in T.arcs):
             return True
     return False
@@ -73,50 +72,12 @@ def test_inward_star_fits_in_transitive_four():
     assert G.in_deg(out.embedding[0]) >= 2  # centre image needs 2 in-arcs
 
 
-def test_allowed_sets_restrict_candidate_images():
-    arc = DirectedTree(2, [(0, 1)])
-    out = exhaustive_embed(arc, transitive_tournament(4), region=mask_of([2, 3]))
-    assert out.verdict == "found"
-    assert out.embedding == {0: 2, 1: 3}
-    # the three-cycle plus a sink: the inward star needs the sink as centre
+def test_inward_star_centre_goes_to_the_sink_of_a_three_cycle():
+    # the three-cycle plus a sink: only the sink has two in-neighbours
     G = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    assert exhaustive_embed(inward_star(3), G).verdict == "found"
-    assert exhaustive_embed(inward_star(3), G, region=mask_of([0, 1, 2])).verdict == "not_found"
-
-
-def test_forbidden_vertices_are_never_used():
-    P = directed_path(3)
-    G = transitive_tournament(5)
-    out = exhaustive_embed(P, G, region=mask_of([2, 3, 4]))
+    out = exhaustive_embed(inward_star(3), G)
     assert out.verdict == "found"
-    assert set(out.embedding.values()) == {2, 3, 4}
-
-
-def test_region_verdicts_match_permutation_oracle():
-    rng = random.Random(5)
-    for seed in range(60):
-        T = random_oriented_tree(2 + seed % 3, seed=seed)
-        G = random_tournament(T.n + seed % 4, seed=2000 + seed)
-        region = rng.getrandbits(G.n)
-        out = exhaustive_embed(T, G, region=region)
-        assert out.verdict in ("found", "not_found")
-        assert (out.verdict == "found") == brute_force_embeds(T, G, region)
-        greedy = greedy_embed(T, G, region=region)
-        assert greedy.verdict in ("found", "budget_exhausted")
-        for found in (out, greedy):
-            if found.embedding is not None:
-                assert is_valid_embedding(T, G, found.embedding)
-                assert mask_of(found.embedding.values()) & ~region == 0
-        if greedy.found:
-            assert out.found
-
-
-@pytest.mark.parametrize("search_fn", [greedy_embed, exhaustive_embed])
-def test_region_outside_the_host_is_an_error(search_fn):
-    arc = DirectedTree(2, [(0, 1)])
-    for region in (1 << 3, full_mask(4), -1, -0b110):
-        with pytest.raises(ValueError, match="host vertices"):
-            search_fn(arc, CYCLE3, region=region)
+    assert out.embedding[0] == 3
 
 
 def test_exhaustive_verdicts_match_permutation_oracle():
@@ -180,14 +141,9 @@ def test_cached_plan_matches_a_fresh_tree_across_hosts():
         T = random_oriented_tree(5, seed=seed)
         for tree in (T, T.reverse()):
             for G in hosts:
-                for region in (None, full_mask(G.n) & ~0b101):
-                    fresh = DirectedTree(tree.n, tree.arcs)
-                    assert greedy_embed(tree, G, region=region) == greedy_embed(
-                        fresh, G, region=region
-                    )
-                    assert exhaustive_embed(tree, G, region=region) == exhaustive_embed(
-                        fresh, G, region=region
-                    )
+                fresh = DirectedTree(tree.n, tree.arcs)
+                assert greedy_embed(tree, G) == greedy_embed(fresh, G)
+                assert exhaustive_embed(tree, G) == exhaustive_embed(fresh, G)
             plan = tree.plan
             assert type(plan) is tuple and all(type(part) is tuple for part in plan)
             greedy_embed(tree, hosts[0])
@@ -265,7 +221,7 @@ def test_search_plan_matches_the_two_core_reference():
 
 def _reference_candidate_mask(G, region, used, parent_dir, parent_image):
     # Verbatim copy of the library's former ``search._candidate_mask``:
-    # the search now keeps the unused part of the region as a mask instead.
+    # the search now keeps the unused host vertices as a mask instead.
     m = region & ~used
     if parent_dir == "out":
         m &= G.out_rows[parent_image]
@@ -274,8 +230,8 @@ def _reference_candidate_mask(G, region, used, parent_dir, parent_image):
     return m
 
 
-def _reference_greedy_embed(T, G, *, region=None):
-    region = search._region_mask(G, region)
+def _reference_greedy_embed(T, G):
+    region = full_mask(G.n)
     order, parents, out_need, in_need = search._search_plan(T)
     if T.n > region.bit_count():
         return EmbedOutcome("budget_exhausted", None, 0, "greedy", ("too few available vertices",))
@@ -313,6 +269,13 @@ def _relabelled(G, rng):
     return Tournament.from_arcs(G.n, [(sigma[u], sigma[v]) for u, v in G.arcs()])
 
 
+_GREEDY_OUTCOMES = {
+    ("found", ()),
+    ("budget_exhausted", ("dead end",)),
+    ("budget_exhausted", ("too few available vertices",)),
+}
+
+
 def test_greedy_matches_the_two_popcount_reference():
     rng = random.Random(2026)
     pairs = []
@@ -320,29 +283,24 @@ def test_greedy_matches_the_two_popcount_reference():
         n = 1 + seed % 12
         T = random_oriented_tree(n, seed=seed)
         G = random_tournament(rng.randint(max(1, n - 1), 2 * n + 1), seed=3000 + seed)
-        region = None
-        if seed % 2:
-            region = rng.getrandbits(G.n) | (1 << rng.randrange(G.n))
-        pairs.append((T, G, region))
+        pairs.append((T, G))
     for n, seed in ((100, 1), (150, 2), (200, 3)):
         T = random_oriented_tree(n, seed=seed)
         hosts = [
             random_tournament(2 * n - 2, seed=seed),
             _relabelled(rotational_regular_tournament(2 * n - 1), rng),
             transitive_tournament(2 * n - 2),
+            # as many host vertices as tree vertices, and one fewer
+            random_tournament(n, seed=seed),
+            random_tournament(n - 1, seed=seed),
         ]
-        pairs += [(T, G, None) for G in hosts]
-        pairs.append((T, hosts[0], rng.getrandbits(hosts[0].n)))
-    seen = set()
-    for T, G, region in pairs:
-        out = greedy_embed(T, G, region=region)
-        assert out == _reference_greedy_embed(T, G, region=region)
-        seen.add((out.verdict, out.notes))
-    assert seen == {
-        ("found", ()),
-        ("budget_exhausted", ("dead end",)),
-        ("budget_exhausted", ("too few available vertices",)),
-    }
+        pairs += [(T, G) for G in hosts]
+    seen = {False: set(), True: set()}
+    for T, G in pairs:
+        out = greedy_embed(T, G)
+        assert out == _reference_greedy_embed(T, G)
+        seen[G.n >= GREEDY_COUNTER_MIN_N].add((out.verdict, out.notes))
+    assert seen == {False: _GREEDY_OUTCOMES, True: _GREEDY_OUTCOMES}
 
 
 def test_greedy_counters_match_the_reference_around_the_cutoff_and_at_scale(monkeypatch):
@@ -362,28 +320,19 @@ def test_greedy_counters_match_the_reference_around_the_cutoff_and_at_scale(monk
             transitive_tournament(hn).reverse(),
         ]
         for G in hosts:
-            T = random_oriented_tree(G.n // 2 + 1, seed=G.n + len(cases))
-            cases.append((T, G, None))
-            # regions of 3/5 of the host and of exactly |T| vertices; the
-            # tight ones leave the greedy pass without admissible images
-            for size in (3 * G.n // 5, T.n):
-                cases.append((T, G, mask_of(rng.sample(range(G.n), size))))
-        T = random_oriented_tree(hn // 4, seed=hn)
-        cases.append((T, hosts[0], mask_of(range(T.n - 1))))
-    seen = set()
-    for T, G, region in cases:
+            # trees of about half the host, of the whole host (which leave
+            # the greedy pass without admissible images) and one larger
+            for n in (G.n // 2 + 1, G.n, G.n + 1):
+                cases.append((random_oriented_tree(n, seed=G.n + len(cases)), G))
+    seen = {False: set(), True: set()}
+    for T, G in cases:
         before = len(counter_calls)
-        out = greedy_embed(T, G, region=region)
-        assert out == _reference_greedy_embed(T, G, region=region), (G.n, region)
+        out = greedy_embed(T, G)
+        assert out == _reference_greedy_embed(T, G), (T.n, G.n)
         if out.notes != ("too few available vertices",):
             assert len(counter_calls) - before == (G.n >= cutoff)
-        if G.n >= cutoff:
-            seen.add((out.verdict, out.notes))
-    assert seen == {
-        ("found", ()),
-        ("budget_exhausted", ("dead end",)),
-        ("budget_exhausted", ("too few available vertices",)),
-    }
+        seen[G.n >= cutoff].add((out.verdict, out.notes))
+    assert seen == {False: _GREEDY_OUTCOMES, True: _GREEDY_OUTCOMES}
 
 
 def _counter(planes, v):
@@ -412,16 +361,25 @@ def test_counter_planes_read_the_residual_out_degrees(n):
         assert all(plane >> G.n == 0 for plane in planes)
 
 
-@pytest.mark.parametrize("G", [transitive_tournament(7), transitive_tournament(7).reverse()])
-def test_greedy_breaks_a_score_tie_to_the_smallest_id(G):
-    # In the region {1, 5} of a transitive host on 7 vertices one candidate
-    # has ro = 1 and the other ro = rest - 1 = 5: both score 1, below the
-    # best possible score of 3, and vertex 1 wins either way round.
-    point = DirectedTree(1, [])
-    out = greedy_embed(point, G, region=mask_of([1, 5]))
-    assert sorted((G.out_deg(1), G.out_deg(5))) == [1, 5]
-    assert out.embedding == {0: 1}
-    assert out == _reference_greedy_embed(point, G, region=mask_of([1, 5]))
+_TIE_TREE = random_oriented_tree(2, seed=12)
+_TIE_HOST = random_tournament(4, seed=112)
+
+
+@pytest.mark.parametrize(
+    "T, G", [(_TIE_TREE, _TIE_HOST), (_TIE_TREE.reverse(), _TIE_HOST.reverse())], ids=["G0", "G1"]
+)
+def test_greedy_breaks_a_score_tie_to_the_smallest_id(T, G):
+    # Tree vertex 0 goes to host vertex 0.  Host vertices 1 and 3 can both
+    # take tree vertex 1, and each has all or none of the other rest = 2
+    # unused vertices as out-neighbours: both score 0, below the best
+    # possible score of rest // 2 = 1, and vertex 1 wins.  The second pair
+    # mirrors the first: reversal swaps out- and in-neighbours.
+    unused = full_mask(G.n) & ~1
+    assert [g for g in bits(unused) if G.has_arc(g, 0) == T.has_arc(1, 0)] == [1, 3]
+    assert [(G.out_rows[g] & unused).bit_count() for g in (1, 3)] in ([0, 2], [2, 0])
+    out = greedy_embed(T, G)
+    assert out.embedding == {0: 0, 1: 1}
+    assert out == _reference_greedy_embed(T, G)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
-"""The portfolio driver, and the two-set lemma procedure.
+"""The portfolio driver.
 
 Each verdict is rechecked independently: embeddings by validation,
 NotFound against complete search, and reversal invariance on mirrored
-pairs.  The two-set procedure checks its own hypotheses (raising
-HypothesisViolation with the violated clause named); the tests here
-recheck its outputs and its reversal duality.
+pairs.
 """
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +20,6 @@ from treetour import (
     parse_tournament,
     parse_tree,
     portfolio_embed,
-    Tournament,
 )
 from treetour.generate import (
     directed_path,
@@ -35,105 +31,8 @@ from treetour.generate import (
     rotational_regular_tournament,
     transitive_tournament,
 )
-from treetour.graphs import mask_of
-from treetour import search, strategies, twoset
+from treetour import search, strategies
 from treetour.strategies import directed_path_order
-from treetour.twoset import (
-    HypothesisViolation,
-    TwoSetInstance,
-    component_by_component,
-    dual_component_by_component,
-    random_two_set_instance,
-)
-
-
-def build_tournament(n, arc_fn):
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            arcs.append((i, j) if arc_fn(i, j) else (j, i))
-    return Tournament.from_arcs(n, arcs)
-
-
-# ---------------------------------------------------------------------------
-# Two-set embedding, component by component
-
-
-def two_set_fixture():
-    T = DirectedTree(3, [(0, 1), (1, 2)])
-    yset, zset = list(range(5)), list(range(5, 10))
-    G = build_tournament(10, lambda i, j: not (i in yset and j in zset))
-    return T, G, mask_of(yset), mask_of(zset), zset
-
-
-def test_two_set_path_splits_across_the_sets():
-    T, G, Y, Z, zset = two_set_fixture()
-    inst = TwoSetInstance(
-        T=T, F_minus=0b001, F_plus=0b110, G=G, Y=Y, Z=Z, gamma=0, alpha=1,
-        seed={1: 0, 2: 1},
-    )
-    phi = component_by_component(inst)
-    assert is_valid_embedding(T, G, phi)
-    assert phi[0] in zset
-
-
-def test_two_set_with_empty_minus_forest_returns_the_seed():
-    T, G, Y, Z, _ = two_set_fixture()
-    inst = TwoSetInstance(
-        T=T, F_minus=0, F_plus=0b111, G=G, Y=Y, Z=Z, gamma=0,
-        alpha=Fraction(1, 3), seed={0: 0, 1: 1, 2: 2},
-    )
-    assert G.has_arc(0, 1) and G.has_arc(1, 2)
-    assert component_by_component(inst) == {0: 0, 1: 1, 2: 2}
-
-
-def test_two_set_dual_is_the_primal_on_the_mirrored_instance():
-    T, G, Y, Z, _ = two_set_fixture()
-    inst = TwoSetInstance(
-        T=T, F_minus=0b001, F_plus=0b110, G=G, Y=Y, Z=Z, gamma=0, alpha=1,
-        seed={1: 0, 2: 1},
-    )
-    phi = component_by_component(inst)
-    mirror = TwoSetInstance(
-        T=T.reverse(), F_minus=0b110, F_plus=0b001, G=G.reverse(), Y=Z, Z=Y,
-        gamma=0, alpha=1, seed={1: 0, 2: 1},
-    )
-    assert dual_component_by_component(mirror) == phi
-
-
-def test_two_set_names_violated_hypotheses():
-    T, G, Y, Z, _ = two_set_fixture()
-    with pytest.raises(HypothesisViolation) as err:
-        component_by_component(
-            TwoSetInstance(
-                T=T, F_minus=0b010, F_plus=0b101, G=G, Y=Y, Z=Z, gamma=0,
-                alpha=1, seed={0: 0},
-            )
-        )
-    # F- = {1} on the path 0->1->2 leaves cross arcs in both directions
-    assert "(cross-direction)" in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "run, where",
-    [
-        (lambda: component_by_component(random_two_set_instance(0)), "two-set:"),
-    ],
-)
-def test_failed_placement_on_a_validated_instance_is_a_defect(monkeypatch, run, where):
-    # a validated instance always leaves room, so a component that neither
-    # greedy nor the complete search can place is a bug, named by procedure
-    def budget_exhausted(T, G, **_):
-        return search.EmbedOutcome(search.BUDGET_EXHAUSTED, None, 0, "greedy")
-
-    def not_found(T, G, **_):
-        return search.EmbedOutcome(search.NOT_FOUND, None, 0, "exhaustive")
-
-    monkeypatch.setattr(twoset, "greedy_embed", budget_exhausted)
-    monkeypatch.setattr(twoset, "exhaustive_embed", not_found)
-    with pytest.raises(GraphDefectError, match="placement failed on a validated instance") as err:
-        run()
-    assert str(err.value).startswith(where)
 
 
 # ---------------------------------------------------------------------------
