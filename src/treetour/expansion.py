@@ -12,10 +12,13 @@ in-neighbours inside ``S``.  This module provides:
   The exact sweep is bit-parallel: the subsets of the low 12 vertices are
   the bit lanes of one 4096-bit int, so it loops over the 2^(n−12) subsets
   of the other vertices and decides 4096 subsets per step with big-int
-  and/xor.  Per step, only the short vertices (fewer than ⌈μn⌉
-  in-neighbours in the step's high subset) enter a bit-sliced counter,
-  which starts at 2^P minus each lane's target, so one plane tells the
-  lanes below target.  Its worst case, a full sweep
+  and/xor.  The lanes holding at least s of a vertex's low in-neighbours
+  are built from two half-tables cached per block width, one for the
+  bottom 6 low vertices and one for the rest, with one big-int product
+  per entry at ⌈μn⌉ = 1.  Per step, only the short vertices (fewer than
+  ⌈μn⌉ in-neighbours in the step's high subset) enter a bit-sliced
+  counter, which starts at 2^P minus each lane's target, so one plane
+  tells the lanes below target.  Its worst case, a full sweep
   of an expander at ``n = 20`` (no early exit), measured 0.9–2.2 ms at
   μ = 1/20 (ν ∈ {1/20, 1/10, 1/5}) and 3.1–6.6 ms at μ = 1/10, ν = 1/5,
   where about three times as many vertices are short, on the expanders
@@ -43,7 +46,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import accumulate
+from operator import or_
+from typing import Callable
 
 from .generate import stream
 from .graphs import (
@@ -152,50 +157,57 @@ def _witness_fails(G: Tournament, S: int, mu: Fraction, nu: Fraction) -> bool:
 
 # The exact sweep packs every subset of the low _LANE_BITS vertices into
 # the bit lanes of one Python int: lane m stands for the low subset whose
-# vertex mask is m.
+# vertex mask is m.  The bottom 6 bits of m index a lane inside a 64-lane
+# block and the rest index the block, so each half-table has 64 rows.
 _LANE_BITS = 12
 
 
-def _lane_patterns(k: int) -> list[int]:
-    """For each low vertex u < k, the lanes whose subset contains u."""
-    width = 1 << k
-    patterns = []
-    for u in range(k):
-        run = 1 << u
-        pattern, period = ((1 << run) - 1) << run, 2 * run
-        while period < width:
-            pattern |= pattern << period
-            period *= 2
-        patterns.append(pattern)
-    return patterns
+@lru_cache(maxsize=_LANE_BITS)
+def _lane_tables(k: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Every lane of a k-bit block and its two half-tables, which depend on
+    k alone.  With b = min(k, 6), bottom[x][c] holds the lanes below 2^b
+    whose subset meets the bottom mask x in fewer than c vertices, and
+    top[y][a] holds bit 2^b·m of each block m whose subset meets the top
+    mask y in exactly a vertices.  The sweep uses k = 1 .. ``_LANE_BITS``,
+    so every k it meets stays cached."""
+    b = min(k, 6)
+
+    def exactly(width: int, mask: int, shift: int) -> list[int]:
+        out = [0] * (mask.bit_count() + 1)
+        for m in range(1 << width):
+            out[(m & mask).bit_count()] |= 1 << (m << shift)
+        return out
+
+    bottom = [
+        list(accumulate(exactly(b, x, 0) + [0] * k, or_, initial=0))
+        for x in range(1 << b)
+    ]
+    top = [exactly(k - b, y, b) for y in range(1 << (k - b))]
+    return full_mask(1 << k), bottom, top
 
 
-def _lanes_at_least(
-    members: int, patterns: Sequence[int], every: int, top: int
-) -> list[int]:
-    """Entry s, 0 ≤ s ≤ top: the lanes whose subset holds at least s of
-    ``members``.  Entry s depends only on entries s and s − 1, so the
-    table stops growing at ``top``."""
-    at_least = [every]
-    for u in bits(members):
-        if len(at_least) <= top:
-            at_least.append(0)
-        for s in range(len(at_least) - 1, 0, -1):
-            at_least[s] |= at_least[s - 1] & patterns[u]
-    return at_least
+def _need_table(k: int, members: int, top: int) -> list[int]:
+    """Entry s, 0 ≤ s ≤ min(top, |members|): the lanes whose subset holds
+    at least s of ``members``.  The lanes holding fewer are the sum over
+    a < s of top[y][a] · bottom[x][s − a], for the bottom and top parts
+    x, y of ``members``; each top entry has one bit per 64-lane block, so
+    no product carries into the next block."""
+    every, bottom, tops = _lane_tables(k)
+    bx, ty = bottom[members & 63], tops[members >> 6]
+    table = [every]
+    for s in range(1, min(top, members.bit_count()) + 1):
+        fewer = 0
+        for a in range(min(s, len(ty))):
+            fewer += ty[a] * bx[s - a]
+        table.append(every ^ fewer)
+    return table
 
 
 @lru_cache(maxsize=_LANE_BITS)
-def _lane_tables(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The lane tables of a k-bit block, which depend on k alone: every
-    lane, the lane pattern of each low vertex, and entry s the lanes whose
-    subset has exactly s vertices.  The sweep uses k = 1 .. ``_LANE_BITS``,
-    so every k it meets stays cached."""
-    every = full_mask(1 << k)
-    patterns = tuple(_lane_patterns(k))
-    size_at_least = _lanes_at_least(full_mask(k), patterns, every, k) + [0]
-    size_lanes = tuple(size_at_least[s] ^ size_at_least[s + 1] for s in range(k + 1))
-    return every, patterns, size_lanes
+def _size_lanes(k: int) -> tuple[int, ...]:
+    """Entry s, 0 ≤ s ≤ k: the lanes whose subset has exactly s vertices."""
+    at_least = _need_table(k, full_mask(k), k) + [0]
+    return tuple(at_least[s] ^ at_least[s + 1] for s in range(k + 1))
 
 
 @lru_cache(maxsize=256)
@@ -206,7 +218,7 @@ def _offset_planes(k: int, base: int, top: int) -> tuple[int, ...]:
     on the lanes where at least max(0, |S_low| + base) indicators were
     added, as long as the target is at most 2^top and the indicator count
     below 2^top."""
-    size_lanes = _lane_tables(k)[2]
+    size_lanes = _size_lanes(k)
     planes = [0] * (top + 1)
     for s in range(k + 1):
         for j in bits((1 << top) - max(0, s + base)):
@@ -225,9 +237,10 @@ def _exact_expander_sweep(
     the mask of the short vertices, those with a_v < ⌈μn⌉.  Every other
     vertex is in the robust out-neighbourhood of every lane of the block,
     so it only lowers the target; a short v is in it on the lanes where
-    |in(v) ∩ S_low| ≥ ⌈μn⌉ − a_v, a precomputed table that stops at
-    ⌈μn⌉.  Each block starts a bit-sliced counter at 2^top minus the
-    target max(0, |S_low| + |S_high| + ⌈μn⌉ − #non-short), top =
+    |in(v) ∩ S_low| ≥ ⌈μn⌉ − a_v, a table per vertex that stops at ⌈μn⌉
+    and is built from the cached half-tables (:func:`_need_table`).  Each
+    block starts a bit-sliced counter at 2^top minus the target
+    max(0, |S_low| + |S_high| + ⌈μn⌉ − #non-short), top =
     (n + ⌈μn⌉).bit_length(), adds the indicators of the short vertices,
     and reads the lanes below target as the in-window lanes where plane
     ``top`` is clear.  Block b visits lane gray(l) ^ ((b & 1) << (k−1))
@@ -243,12 +256,9 @@ def _exact_expander_sweep(
     if lo > hi or n == 0:
         return ExpanderVerdict(EXPANDER, "exact", mu, nu, samples=0)
     k = min(n, _LANE_BITS)
-    every, patterns, size_lanes = _lane_tables(k)
+    size_lanes, low_vertices = _size_lanes(k), full_mask(k)
     # need_tables[v][need] for 1 ≤ need ≤ min(t, |in(v) ∩ low|).
-    need_tables = [
-        _lanes_at_least(G.in_rows[v] & full_mask(k), patterns, every, t)
-        for v in range(n)
-    ]
+    need_tables = [_need_table(k, row & low_vertices, t) for row in G.in_rows]
     windows = []
     for h in range(n - k + 1):
         lanes = 0
@@ -395,9 +405,11 @@ def is_robust_outexpander(
     the Gray order ``i ^ (i >> 1)``.  Each step counts only the short
     vertices, those with fewer than ``⌈μn⌉`` in-neighbours in the high
     part, in a counter offset by the target, and reads the failing lanes
-    off one bit plane.  A full sweep at ``n = 20`` (an expander, so no
-    early exit) measured 0.9–2.2 ms on random hosts at μ = 1/20 and
-    3.1–6.6 ms at μ = 1/10, where one subset at a time took about 1.2 s.
+    off one bit plane.  A vertex's lanes come from two half-tables over
+    the bottom 6 and the top ``k − 6`` low vertices, cached per ``k``.  A
+    full sweep at ``n = 20`` (an expander, so no early exit) measured
+    0.9–2.2 ms on random hosts at μ = 1/20 and 3.1–6.6 ms at μ = 1/10,
+    where one subset at a time took about 1.2 s.
     Sampled mode tries degree-order prefixes/suffixes, vertex
     neighbourhoods and their complements, then seeded random sets,
     counting each robust out-neighbourhood against ``⌈μn⌉`` computed
@@ -598,7 +610,7 @@ def make_expander_checker(
 
 
 def _min_semidegree(H: Tournament) -> int:
-    return min(min(H.out_deg(v), H.in_deg(v)) for v in range(H.n))
+    return min(map(int.bit_count, H.out_rows + H.in_rows))
 
 
 def tournament_split(
@@ -692,9 +704,11 @@ def tournament_split(
         S = pieces[ell]
         if S.bit_count() < small_below:
             break
-        H, ids, _ = piece(S)
-        low_out = next((v for v in range(H.n) if H.out_deg(v) < eta_deg), None)
-        low_in = next((v for v in range(H.n) if H.in_deg(v) < eta_deg), None)
+        H, ids, least = piece(S)
+        # A piece of minimum semidegree ≥ ⌈η·n⌉ has no low vertex to find.
+        scan = range(H.n) if least < eta_deg else ()
+        low_out = next((v for v in scan if H.out_deg(v) < eta_deg), None)
+        low_in = next((v for v in scan if H.in_deg(v) < eta_deg), None)
         if low_out is not None:
             v = ids[low_out]
             rest = S & ~(1 << v)

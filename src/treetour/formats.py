@@ -63,13 +63,11 @@ def parse_tournament(text: str) -> Tournament:
         lineno = i + 2
         if len(line) != n:
             raise ParseError(f"matrix line must have {n} characters, got {len(line)}", lineno)
-        row = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                row |= 1 << j
-            elif ch != "0":
-                raise ParseError(f"matrix character must be 0 or 1, got {ch!r}", lineno, j + 1)
-        rows.append(row)
+        if line.strip("01"):
+            j = next(j for j, ch in enumerate(line) if ch not in "01")
+            raise ParseError(f"matrix character must be 0 or 1, got {line[j]!r}", lineno, j + 1)
+        # Character j is bit j: the line read right to left is the row.
+        rows.append(int(line[::-1], 2))
     _check_no_trailing(lines, n)
     for i in range(n):
         if (rows[i] >> i) & 1:
@@ -85,10 +83,9 @@ def parse_tournament(text: str) -> Tournament:
 
 
 def write_tournament(G: Tournament) -> str:
+    spec = f"0{G.n}b"
     lines = [f"tournament {G.n}"]
-    for i in range(G.n):
-        row = G.out_rows[i]
-        lines.append("".join("1" if (row >> j) & 1 else "0" for j in range(G.n)))
+    lines.extend(format(row, spec)[::-1] for row in G.out_rows)
     return "\n".join(lines) + "\n"
 
 

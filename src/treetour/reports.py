@@ -167,8 +167,11 @@ def run_campaign(
     """Run tasks (serially or via a process pool) and summarize.
 
     Reports come back in task order whatever the worker count, so two
-    runs with the same tasks differ only in the timing fields.
+    runs with the same tasks differ only in the timing fields.  A worker
+    count below 1 is a ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     start = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
         size = max(1, len(tasks) // (workers * 8))
@@ -200,6 +203,11 @@ LABELLED_HOST_CAP = 6
 ISO_HOST_CAP = 8
 
 
+def _check_sample_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+
+
 def _tree_pool(n: int, tree_source) -> list[tuple[str, str]]:
     """(descriptor fragment, tree text) pairs for the given source."""
     if tree_source == "iso":
@@ -209,6 +217,7 @@ def _tree_pool(n: int, tree_source) -> list[tuple[str, str]]:
         ]
     if isinstance(tree_source, tuple) and tree_source[0] == "sample":
         _, count, seed = tree_source
+        _check_sample_count(count)
         return [
             (f"tree=seed{seed + i}", write_tree(random_oriented_tree(n, seed + i)))
             for i in range(count)
@@ -242,6 +251,7 @@ def _tournament_pool(m: int, source) -> tuple[list[tuple[str, str, int | None]],
         return pool, "iso"
     if isinstance(source, tuple) and source[0] == "sample":
         _, count, seed = source
+        _check_sample_count(count)
         pool = [
             (
                 f"tournament=seed{seed + i}",
@@ -267,8 +277,10 @@ def verify_sumner(
     ``tournament_source`` is ``"exhaustive"`` (every labelled tournament;
     host ≤ 6), ``"iso"`` (one per isomorphism class; host ≤ 8) or
     ``("sample", count, seed)``.  ``tree_source`` is ``"iso"`` or
-    ``("sample", count, seed)``.  Every pair must come back Found — at
-    these sizes the statement is a theorem, so any failure is a bug.
+    ``("sample", count, seed)``; a sample count below 1 is a ValueError,
+    since a campaign over no samples would pass having checked nothing.
+    Every pair must come back Found — at these sizes the statement is a
+    theorem, so any failure is a bug.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -6,6 +6,8 @@ Round trips must be exact; malformed input must fail with an error that
 points at the offending line.
 """
 
+import random
+
 import pytest
 
 from treetour import (
@@ -16,10 +18,12 @@ from treetour import (
     write_tournament,
     write_tree,
 )
+from treetour import formats
 from treetour.generate import (
     directed_path,
     random_oriented_tree,
     random_tournament,
+    rotational_regular_tournament,
     transitive_tournament,
 )
 
@@ -95,6 +99,119 @@ def test_tournament_parse_errors_name_the_line(text, line_hint):
 def test_tournament_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         parse_tournament("tournament 3\n010\n001\n100\nextra")
+
+
+# ---------------------------------------------------------------------------
+# Reference: the tournament writer and parser before they read and wrote
+# whole matrix lines in C-level passes, kept verbatim.  Texts, rows and
+# every ParseError (message, line and column) must stay what these give.
+
+
+def _reference_parse_tournament(text: str) -> Tournament:
+    lines = formats._split_lines(text)
+    n = formats._parse_header(lines, "tournament")
+    if len(lines) < 1 + n:
+        raise ParseError(f"expected {n} matrix lines, found {len(lines) - 1}", len(lines))
+    rows = []
+    for i in range(n):
+        line = lines[1 + i]
+        lineno = i + 2
+        if len(line) != n:
+            raise ParseError(f"matrix line must have {n} characters, got {len(line)}", lineno)
+        row = 0
+        for j, ch in enumerate(line):
+            if ch == "1":
+                row |= 1 << j
+            elif ch != "0":
+                raise ParseError(f"matrix character must be 0 or 1, got {ch!r}", lineno, j + 1)
+        rows.append(row)
+    formats._check_no_trailing(lines, n)
+    for i in range(n):
+        if (rows[i] >> i) & 1:
+            raise ParseError("diagonal entry must be 0", i + 2, i + 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = (rows[i] >> j) & 1
+            ji = (rows[j] >> i) & 1
+            if ij == ji:
+                what = "both directions present" if ij else "no direction present"
+                raise ParseError(f"pair ({i}, {j}): {what}", j + 2, i + 1)
+    return Tournament(n, rows, _trusted=True)
+
+
+def _reference_write_tournament(G: Tournament) -> str:
+    lines = [f"tournament {G.n}"]
+    for i in range(G.n):
+        row = G.out_rows[i]
+        lines.append("".join("1" if (row >> j) & 1 else "0" for j in range(G.n)))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        G = parse(text)
+    except ValueError as exc:  # ParseError and Tournament's own checks
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return G.n, G.out_rows, G.in_rows
+
+
+def _mutated_texts(G):
+    """Texts that break one format rule of ``write_tournament(G)``."""
+    n = G.n
+    header, *rows = _reference_write_tournament(G).split("\n")[:-1]
+
+    def text(body):
+        return "\n".join([header, *body]) + "\n"
+
+    i = n // 2
+    for j in sorted({0, n // 2, n - 1}):  # first, middle and last column
+        for ch in "2x ":
+            yield text(rows[:i] + [rows[i][:j] + ch + rows[i][j + 1 :]] + rows[i + 1 :])
+    yield text(rows[:i] + [rows[i][:-1]] + rows[i + 1 :])  # short line
+    yield text(rows[:i] + [rows[i] + "0"] + rows[i + 1 :])  # long line
+    yield text(rows[:-1])  # an empty last line
+    yield "\n".join([header, *rows[:-1]])  # a missing line
+    yield text(rows[:i] + [rows[i][:i] + "1" + rows[i][i + 1 :]] + rows[i + 1 :])  # diagonal 1
+    if n >= 2:
+        a, b = sorted(random.Random(n).sample(range(n), 2))
+        for flip in (a, b):  # one of the two makes both directions, the other none
+            row = rows[flip]
+            other = b if flip == a else a
+            rows2 = list(rows)
+            rows2[flip] = row[:other] + ("1" if row[other] == "0" else "0") + row[other + 1 :]
+            yield text(rows2)
+    yield text(rows + ["junk"])  # trailing content
+    yield text(rows + ["", " "])  # trailing blank lines are accepted
+    yield "\n".join([header, *rows])  # no final newline
+
+
+TOURNAMENT_ERRORS = (
+    "must be 0 or 1",
+    "matrix line must have",
+    "matrix lines, found",
+    "diagonal entry",
+    "both directions",
+    "no direction",
+    "unexpected content",
+)
+
+
+def test_tournament_text_matches_the_verbatim_reference():
+    seen = set()
+    for n in range(1, 41):
+        hosts = [random_tournament(n, seed=n), transitive_tournament(n)]
+        if n % 2:
+            hosts.append(rotational_regular_tournament(n))
+        for G in hosts:
+            text = write_tournament(G)
+            assert text == _reference_write_tournament(G), n
+            assert parse_tournament(text) == G
+            for mutated in [text, *_mutated_texts(G)]:
+                got = _parse_outcome(parse_tournament, mutated)
+                assert got == _parse_outcome(_reference_parse_tournament, mutated), (n, mutated)
+                seen.update(e for e in TOURNAMENT_ERRORS if len(got) == 4 and e in got[1])
+    # every error the mutations aim at was raised somewhere
+    assert seen == set(TOURNAMENT_ERRORS), seen
 
 
 # ---------------------------------------------------------------------------

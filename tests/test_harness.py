@@ -228,6 +228,23 @@ def test_sampled_sources_record_their_seeds():
     assert {r.seed for r in reports} == {40, 41}
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_sampled_campaigns_need_at_least_one_sample(count):
+    """A sampled campaign over no samples would check nothing and pass."""
+    with pytest.raises(ValueError, match="sample count"):
+        verify_sumner(4, ("sample", count, 0))
+    with pytest.raises(ValueError, match="sample count"):
+        verify_sumner(4, "iso", ("sample", count, 0))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_campaigns_need_at_least_one_worker(workers):
+    with pytest.raises(ValueError, match="worker count"):
+        run_campaign(sample_tasks(), workers=workers)
+    with pytest.raises(ValueError, match="worker count"):
+        verify_sumner(3, workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -547,6 +564,23 @@ def test_cli_errors_exit_with_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "coretree", "--tree", str(bad), "--delta", "2")
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--tournament-source", "sample", "--count", "0"),
+        ("--tournament-source", "sample", "--count", "-2"),
+        ("--tree-source", "sample", "--count", "0"),
+        ("--workers", "0"),
+        ("--workers", "-1"),
+    ],
+)
+def test_cli_empty_sampled_or_workerless_campaigns_exit_with_two(flags, capsys):
+    code, out, err = run_cli(capsys, "verify-sumner", "-n", "4", "--no-timing", *flags)
+    assert code == 2
+    assert out == ""
+    assert "treetour: error:" in err
 
 
 def test_cli_env_overrides_seed(capsys, monkeypatch):
