@@ -318,7 +318,9 @@ def verify_sharpness(
     NOT embed in the rotational regular tournament on ``2n−3`` vertices;
     for each ``(n, ℓ)`` in ``near_extremal_pairs``, the path-with-fringes
     tree on ``n`` must not embed in its (2n−ℓ−3)-vertex three-block host.
-    NotFound here is a certificate: the search is exhaustive.
+    NotFound here is a certificate: the search is exhaustive.  A call
+    that builds no task is a ValueError, since a campaign that certifies
+    nothing would pass.
     """
     tasks = []
     for n in n_range:
@@ -356,6 +358,11 @@ def verify_sharpness(
                 write_tournament(G),
                 None,
             )
+        )
+    if not tasks:
+        raise ValueError(
+            "no sharpness case to certify: the n range and the near-extremal "
+            "pairs are both empty"
         )
     config = {
         "campaign": "verify-sharpness",

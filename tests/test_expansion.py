@@ -35,6 +35,7 @@ from treetour.expansion import (
     ExpanderVerdict,
 )
 from treetour.generate import (
+    enumerate_tournaments,
     random_tournament,
     rotational_regular_tournament,
     transitive_tournament,
@@ -213,7 +214,7 @@ def _sweep_hosts():
         yield transitive_tournament(n)
     for n in (1, 3, 7, 11, 13, 15, 19):
         yield rotational_regular_tournament(n)
-    for n, blocks in ((12, 2), (14, 2), (16, 3), (18, 2), (20, 3)):
+    for n, blocks in ((12, 2), (14, 2), (16, 3), (18, 2), (19, 2), (20, 3)):
         for seed in range(2):
             G = _transitive_blow_up(n, blocks, seed)
             yield G
@@ -222,12 +223,16 @@ def _sweep_hosts():
 
 def test_exact_sweep_matches_the_reference_walk():
     tally = {"small": 0, "expander": 0, "refuted": 0, "later block": 0, "empty": 0}
+    # (n, status) of the verdicts that run the failing-set search first
+    searched = set()
     for G in _sweep_hosts():
         n = G.n
         for mu, nu in SWEEP_PARAMETERS:
             got = is_robust_outexpander(G, mu, nu, "exact")
             assert got == _reference_exact_sweep(G, mu, nu), (n, mu, nu)
             tally["small" if n <= 12 else "expander" if got.is_expander else "refuted"] += 1
+            if n >= expansion._SEARCH_MIN_N and math.ceil(mu * n) == 1:
+                searched.add((n, got.status))
             if got.is_expander:
                 # every in-window subset was examined: a closed-form recount
                 lo = math.ceil(nu * n)
@@ -240,6 +245,10 @@ def test_exact_sweep_matches_the_reference_walk():
     # past the first block
     assert tally["small"] and tally["expander"] and tally["refuted"] and tally["empty"]
     assert tally["later block"] >= 5, tally
+    # both verdicts after the search, at every size it runs at
+    assert searched == {
+        (n, status) for n in range(16, 21) for status in (EXPANDER, NOT_EXPANDER)
+    }
 
 
 def _visited_block_shapes(G, mu, nu, verdict):
@@ -306,6 +315,57 @@ def test_exact_sweep_matches_the_reference_at_larger_thresholds():
             seen[shape] += 1
     assert verdicts == {EXPANDER, NOT_EXPANDER}
     assert all(seen.values()), seen
+
+
+def _search_refutes(G, mu, nu):
+    """The failing-set search's answer, with any set it names recounted."""
+    lo, hi = expansion._size_window(G.n, nu)
+    S = expansion._failing_set_search(G, lo, hi)
+    assert S is None or expansion._witness_fails(G, S, mu, nu), (G.n, nu)
+    return S is not None
+
+
+def _search_hosts():
+    for n in range(1, 7):
+        yield from enumerate_tournaments(n)
+    for n in range(7, 21):
+        yield random_tournament(n, seed=200 + n)
+        if n <= 14:
+            yield random_tournament(n, seed=300 + n)
+        yield _transitive_blow_up(n, 2 + n % 2, n)
+
+
+def test_failing_set_search_agrees_with_the_reference_walk():
+    """At ⌈μn⌉ = 1 the search finds a failing set exactly when the walk
+    refutes: on every labelled tournament with at most 6 vertices, and on
+    seeded random and planted hosts of 7 to 20 vertices."""
+    mu = Fraction(1, 20)
+    seen = set()
+    for G in _search_hosts():
+        for nu in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 3)):
+            refuted = _reference_exact_sweep(G, mu, nu).status == NOT_EXPANDER
+            assert _search_refutes(G, mu, nu) == refuted, (G.out_rows, nu)
+            seen.add((G.n > 6, refuted))
+    # both answers among the enumerated and among the larger hosts
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize(
+    "lie, message",
+    [("search", "named a set that expands"), ("search and recount", "the sweep missed")],
+)
+def test_failing_set_search_is_checked_by_the_sweep(monkeypatch, lie, message):
+    """rotational_regular_tournament(17) is an expander: a search that
+    names a failing set is caught by the recount, and one whose set also
+    passes the recount is caught by the sweep."""
+    G = rotational_regular_tournament(17)
+    mu, nu = Fraction(1, 20), Fraction(1, 20)
+    assert is_robust_outexpander(G, mu, nu, "exact").is_expander
+    monkeypatch.setattr(expansion, "_failing_set_search", lambda G, lo, hi: 0b111)
+    if lie == "search and recount":
+        monkeypatch.setattr(expansion, "_witness_fails", lambda G, S, mu, nu: True)
+    with pytest.raises(GraphDefectError, match=message):
+        is_robust_outexpander(G, mu, nu, "exact")
 
 
 def test_offset_planes_reach_the_top_plane_exactly_at_the_target():

@@ -221,6 +221,13 @@ def test_sharpness_campaign_respects_host_cap():
         verify_sharpness((10,), ())
 
 
+@pytest.mark.parametrize("n_range", [(), range(5, 3)])
+def test_sharpness_campaign_needs_at_least_one_case(n_range):
+    """A certificate campaign over no case would certify nothing and pass."""
+    with pytest.raises(ValueError, match="no sharpness case"):
+        verify_sharpness(n_range, ())
+
+
 def test_sampled_sources_record_their_seeds():
     reports, summary = verify_sumner(3, ("sample", 2, 40), ("sample", 2, 9))
     assert summary.total == 4
@@ -482,6 +489,15 @@ def test_cli_verify_sharpness_star_only(capsys):
     )
     assert code == 0
     assert '"not_found": 2' in out
+
+
+def test_cli_verify_sharpness_with_no_case_exits_with_two(capsys):
+    code, out, err = run_cli(
+        capsys, "verify-sharpness", "--n-range", "5-3", "--near-extremal", ""
+    )
+    assert code == 2
+    assert out == ""
+    assert "treetour: error: no sharpness case" in err
 
 
 def test_cli_props_subset_and_exit_code(capsys):
