@@ -21,7 +21,7 @@ newline.
 
 from __future__ import annotations
 
-from .graphs import DirectedTree, ParseError, Tournament
+from .graphs import DirectedTree, ParseError, Tournament, transpose_rows
 
 
 def _split_lines(text: str) -> list[str]:
@@ -52,7 +52,16 @@ def _check_no_trailing(lines: list[str], body_lines: int) -> None:
 
 
 def parse_tournament(text: str) -> Tournament:
-    """Parse the tournament text format, validating all format invariants."""
+    """Parse the tournament text format, validating all format invariants.
+
+    Each matrix line is checked and read in C-level passes; the diagonal
+    and every pair are then checked by one :func:`transpose_rows` call
+    and one comparison per row.  Only a matrix that fails walks its
+    entries, in the order diagonal first, then pairs (i, j) by i, to name
+    the first bad one.  Per valid text (Python 3.11, one core of a shared
+    2-vCPU x86 host, best of 5; ``BENCH_16.json``): 0.11 ms at n = 60 and
+    2.9 ms at n = 398, against 0.27 and 13.4 ms for the per-pair loop.
+    """
     lines = _split_lines(text)
     n = _parse_header(lines, "tournament")
     if len(lines) < 1 + n:
@@ -69,16 +78,24 @@ def parse_tournament(text: str) -> Tournament:
         # Character j is bit j: the line read right to left is the row.
         rows.append(int(line[::-1], 2))
     _check_no_trailing(lines, n)
-    for i in range(n):
-        if (rows[i] >> i) & 1:
-            raise ParseError("diagonal entry must be 0", i + 2, i + 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ij = (rows[i] >> j) & 1
-            ji = (rows[j] >> i) & 1
-            if ij == ji:
-                what = "both directions present" if ij else "no direction present"
-                raise ParseError(f"pair ({i}, {j}): {what}", j + 2, i + 1)
+    # Bit j of row i ^ column i is set iff exactly one of i -> j, j -> i
+    # is present, which the row's own diagonal bit cannot show.
+    everything = (1 << n) - 1
+    columns = transpose_rows(n, tuple(rows))
+    if any(
+        (row >> i) & 1 or row ^ column != everything ^ (1 << i)
+        for i, (row, column) in enumerate(zip(rows, columns))
+    ):
+        for i in range(n):
+            if (rows[i] >> i) & 1:
+                raise ParseError("diagonal entry must be 0", i + 2, i + 1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                ij = (rows[i] >> j) & 1
+                ji = (rows[j] >> i) & 1
+                if ij == ji:
+                    what = "both directions present" if ij else "no direction present"
+                    raise ParseError(f"pair ({i}, {j}): {what}", j + 2, i + 1)
     return Tournament(n, rows, _trusted=True)
 
 

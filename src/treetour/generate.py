@@ -20,11 +20,34 @@ Randomness contract (bit-exact, platform-independent):
   ``"random_oriented_tree"``.
 
 Equal seeds therefore give byte-identical objects on every platform.
+
+Cost.  The fixed and random generators build their output in whole-row
+passes and, as it is valid by construction, skip the constructors'
+checks on it (the private ``_trusted`` flag) once they have checked
+their own size argument:
+
+- ``random_tournament`` packs its 64-bit words with one ``array("Q")``
+  (byte-swapped on big-endian hosts) and decodes them with
+  ``Tournament.from_pair_bits``, whose one transposition is banded above
+  512 vertices.  n = 1500: 25.6 -> 17.5 ms per call, of which about 12 ms
+  are the xoshiro256** outputs themselves.
+- ``rotational_regular_tournament`` rotates one base row: m = 399,
+  6.9 -> 0.11 ms (the O(m^2) loop it replaces).
+- ``directed_path`` and the random trees skip the tree validation and
+  its BFS: ``directed_path(1500)`` 2.5 -> 1.4 ms,
+  ``random_oriented_tree(200)`` 0.61 -> 0.49 ms.
+- ``stream`` hashes each label once (a bounded cache).
+
+(Python 3.11, one core of a shared 2-vCPU x86 host, best of 5, before
+and after the whole-row passes; ``BENCH_16.json``.)
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
+from functools import lru_cache
 from typing import Iterator
 
 from .graphs import DirectedTree, Tournament, canonical_form
@@ -92,9 +115,14 @@ class Xoshiro256StarStar:
                 return z % n
 
 
+@lru_cache(maxsize=256)
+def _label_hash(label: str) -> int:
+    return fnv1a64(label.encode("ascii"))
+
+
 def stream(seed: int, label: str) -> Xoshiro256StarStar:
     """The named PRNG stream for ``(seed, label)``; see the module docstring."""
-    return Xoshiro256StarStar(seed ^ fnv1a64(label.encode("ascii")))
+    return Xoshiro256StarStar(seed ^ _label_hash(label))
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +131,29 @@ def stream(seed: int, label: str) -> Xoshiro256StarStar:
 
 def directed_path(n: int) -> DirectedTree:
     """The directed path 0 -> 1 -> .. -> n-1."""
-    return DirectedTree(n, [(i, i + 1) for i in range(n - 1)])
+    if n < 1:
+        raise ValueError("n must be positive")
+    return DirectedTree(n, [(i, i + 1) for i in range(n - 1)], _trusted=True)
 
 
 def inward_star(n: int) -> DirectedTree:
     """All arcs into the centre (vertex 0)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return DirectedTree(n, [(i, 0) for i in range(1, n)])
+    return DirectedTree(n, [(i, 0) for i in range(1, n)], _trusted=True)
 
 
 def outward_star(n: int) -> DirectedTree:
     """All arcs out of the centre (vertex 0)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return DirectedTree(n, [(0, i) for i in range(1, n)])
+    return DirectedTree(n, [(0, i) for i in range(1, n)], _trusted=True)
 
 
 def transitive_tournament(n: int) -> Tournament:
     """i -> j iff i < j."""
+    if n < 1:
+        raise ValueError("n must be positive")
     rows = [((1 << n) - 1) ^ ((1 << (i + 1)) - 1) for i in range(n)]
     return Tournament(n, rows, _trusted=True)
 
@@ -129,17 +161,15 @@ def transitive_tournament(n: int) -> Tournament:
 def rotational_regular_tournament(m: int) -> Tournament:
     """i -> j iff (j - i) mod m lies in {1, .., (m-1)/2}; m must be odd.
 
-    Every vertex has out- and in-degree (m-1)/2.
+    Every vertex has out- and in-degree (m-1)/2.  Row i is the row of
+    vertex 0, ``((1 << (m-1)/2) - 1) << 1``, rotated left by i within m
+    bits: O(m) big-int operations in all.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"rotational tournament needs odd m >= 1, got {m}")
-    half = (m - 1) // 2
-    rows = []
-    for i in range(m):
-        row = 0
-        for d in range(1, half + 1):
-            row |= 1 << ((i + d) % m)
-        rows.append(row)
+    everything = (1 << m) - 1
+    base = ((1 << ((m - 1) // 2)) - 1) << 1
+    rows = [((base << i) | (base >> (m - i))) & everything for i in range(m)]
     return Tournament(m, rows, _trusted=True)
 
 
@@ -166,7 +196,7 @@ def near_extremal_pair(n: int, path_len: int) -> tuple[DirectedTree, Tournament]
     arcs = [(i, i + 1) for i in range(path_len - 1)]
     arcs += [(path_len - 1, path_len + i) for i in range(y)]
     arcs += [(path_len + y + i, 0) for i in range(y)]
-    T = DirectedTree(n, arcs)
+    T = DirectedTree(n, arcs, _trusted=True)
 
     block = 2 * y - 1
     y_ids = list(range(block))
@@ -193,11 +223,10 @@ def random_tournament(n: int, seed: int) -> Tournament:
         raise ValueError("n must be positive")
     m = n * (n - 1) // 2
     rng = stream(seed, "random_tournament")
-    words = [rng.next64() for _ in range((m + 63) // 64)]
-    pair_bits = int.from_bytes(
-        b"".join(w.to_bytes(8, "little") for w in words), "little"
-    ) & ((1 << m) - 1)
-    return Tournament.from_pair_bits(n, pair_bits)
+    words = array("Q", [rng.next64() for _ in range((m + 63) // 64)])
+    if sys.byteorder == "big":
+        words.byteswap()
+    return Tournament.from_pair_bits(n, int.from_bytes(words.tobytes(), "little"))
 
 
 def _decode_pruefer(n: int, seq: list[int]) -> list[tuple[int, int]]:
@@ -238,13 +267,13 @@ def random_oriented_tree(n: int, seed: int) -> DirectedTree:
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return DirectedTree(1, [])
+        return DirectedTree(1, [], _trusted=True)
     rng = stream(seed, "random_oriented_tree")
     seq = [rng.next_below(n) for _ in range(n - 2)]
     arcs = []
     for a, b in _decode_pruefer(n, seq):
         arcs.append((a, b) if rng.next64() & 1 else (b, a))
-    return DirectedTree(n, arcs)
+    return DirectedTree(n, arcs, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +392,20 @@ def enumerate_oriented_trees(n: int) -> Iterator[DirectedTree]:
     deduplicating by oriented canonical key.  Deterministic key order;
     class counts for n = 1..8 are 1, 1, 3, 8, 27, 91, 350, 1376.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > ENUMERATE_TREES_MAX_N:
         raise ValueError(f"oriented-tree enumeration capped at n <= {ENUMERATE_TREES_MAX_N}")
     if n in _tree_cache:
         yield from _tree_cache[n]
         return
     if n == 1:
-        reps = [DirectedTree(1, [])]
+        reps = [DirectedTree(1, [], _trusted=True)]
     else:
         underlying: dict[str, list[tuple[int, int]]] = {}
         for seq in itertools.product(range(n), repeat=max(0, n - 2)):
             edges = _decode_pruefer(n, list(seq))
-            t = DirectedTree(n, edges)
+            t = DirectedTree(n, edges, _trusted=True)
             underlying.setdefault(_underlying_tree_key(t), edges)
         oriented: dict[str, DirectedTree] = {}
         for edges in underlying.values():
@@ -383,7 +414,7 @@ def enumerate_oriented_trees(n: int) -> Iterator[DirectedTree]:
                     (a, b) if (pattern >> i) & 1 else (b, a)
                     for i, (a, b) in enumerate(edges)
                 ]
-                t = DirectedTree(n, arcs)
+                t = DirectedTree(n, arcs, _trusted=True)
                 oriented.setdefault(oriented_tree_key(t), t)
         reps = [oriented[k] for k in sorted(oriented)]
     _tree_cache[n] = reps

@@ -81,53 +81,96 @@ def bit_list(mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Bit-matrix transpose (validates untrusted rows; builds from_pair_bits)
+# Bit-matrix transpose (validates untrusted rows and tournament text;
+# builds from_pair_bits)
 
 
-def _swap_masks(size: int) -> Iterator[tuple[int, int]]:
-    """(shift, mask) per level j = size/2, .., 1 of a size-by-size transpose.
+TRANSPOSE_SQUARE_MAX_N = 512
+"""Largest n that :func:`transpose_rows` swaps as one square tile."""
+_BAND_ROWS = 256  # tile side, and rows per band, above that
 
+
+@lru_cache(maxsize=16)
+def _swap_masks(size: int, tiles: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per level j = size/2, .., 1 of a band transpose.
+
+    The band is ``size`` rows of ``tiles`` size-by-size tiles side by side.
     The mask holds the cells (r, c) with bit j clear in r and set in c;
-    each swaps with the cell ``shift`` = j(size - 1) positions up.
+    each swaps with the cell ``shift`` = j(width - 1) positions up, for a
+    band ``width`` = size * tiles bits wide.  A level is the same for
+    every tile, so one delta swap transposes all tiles of the band.
+    Building the masks costs about as much as one band's swaps, so they
+    are cached: a 512 square holds 9 masks of 32 KiB, and a band of 7
+    tiles 8 masks of 56 KiB.
     """
-    width = size // 8
+    width = size * tiles
+    masks = []
     j = size // 2
     while j:
         if j >= 8:
             row = (bytes(j // 8) + b"\xff" * (j // 8)) * (size // (2 * j))
         else:
-            row = bytes([{4: 0xF0, 2: 0xCC, 1: 0xAA}[j]]) * width
-        block = row * j + bytes(width * j)  # j rows with the pattern, j without
-        yield j * (size - 1), int.from_bytes(block * (size // (2 * j)), "little")
+            row = bytes([{4: 0xF0, 2: 0xCC, 1: 0xAA}[j]]) * (size // 8)
+        row *= tiles
+        block = row * j + bytes(width // 8 * j)  # j rows with the pattern, j without
+        masks.append((j * (width - 1), int.from_bytes(block * (size // (2 * j)), "little")))
         j //= 2
+    return tuple(masks)
 
 
-@lru_cache(maxsize=None)
-def _small_swap_masks(size: int) -> tuple[tuple[int, int], ...]:
-    # Building the masks costs about as much as the swaps, so small sizes
-    # keep theirs; a large size would hold log2(size) masks of size**2 bits.
-    return tuple(_swap_masks(size))
+def _delta_swaps(m: int, masks: tuple[tuple[int, int], ...]) -> int:
+    for shift, mask in masks:
+        t = (m ^ (m >> shift)) & mask
+        m ^= t ^ (t << shift)
+    return m
 
 
 def transpose_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Transpose an n-by-n bit matrix given as one int per row.
 
-    Block transpose (Warren, *Hacker's Delight* §7-3): the rows are packed
-    into one int as a size-by-size matrix (size a power of two, at least
-    8), and for j = size/2, .., 1 one masked delta swap exchanges bit j of
-    every row index with bit j of its column index.  Every row must lie in
-    0 .. 2**n - 1.
+    Block transpose (Warren, *Hacker's Delight* §7-3) on square tiles of
+    a power-of-two side ``size``: for j = size/2, .., 1 one masked delta
+    swap exchanges bit j of every row index with bit j of its column
+    index.  Up to ``TRANSPOSE_SQUARE_MAX_N`` = 512 vertices the matrix is
+    one tile, padded to the next power of two (at least 8).  Above, it is
+    cut into bands of 256 rows, each packed into one int and swapped as a
+    row of 256-by-256 tiles; tile t of band b, transposed, is bits
+    256b .. 256b + 255 of output rows 256t .. 256t + 255.  So a large
+    matrix is padded to the next multiple of 256, not of a power of two.
+    Per call (Python 3.11, one core of a shared 2-vCPU x86 host, best of
+    5; ``BENCH_16.json``), one padded square with cached masks takes
+    0.37 / 0.46 / 0.99 / 2.1 / 6.0 ms at n = 399 / 512 / 513 / 1024 /
+    1500 and the bands 0.50 / 0.55 / 0.93 / 1.9 / 3.7 ms, which sets the
+    crossover at 512; the square that rebuilt its masks above 256
+    vertices took 0.64 / 0.71 / 2.4 / 3.3 / 11.2 ms.  Every row must lie
+    in 0 .. 2**n - 1.
     """
-    size = 8
-    while size < n:
-        size *= 2
-    width = size // 8
-    m = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
-    for shift, mask in _small_swap_masks(size) if size <= 256 else _swap_masks(size):
-        t = (m ^ (m >> shift)) & mask
-        m ^= t ^ (t << shift)
-    data = m.to_bytes(width * size, "little")
-    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(n))
+    if n <= 8:  # one byte per row, so the matrix is one 64-bit word
+        m = _delta_swaps(int.from_bytes(bytes(rows), "little"), _swap_masks(8, 1))
+        return tuple(m.to_bytes(8, "little")[:n])
+    size = _BAND_ROWS if n > TRANSPOSE_SQUARE_MAX_N else 1 << (n - 1).bit_length()
+    tiles = -(-n // size)
+    width = size // 8  # bytes per tile row
+    masks = _swap_masks(size, tiles)
+    bands = []
+    for top in range(0, n, size):
+        m = int.from_bytes(
+            b"".join(r.to_bytes(width * tiles, "little") for r in rows[top : top + size]),
+            "little",
+        )
+        bands.append(_delta_swaps(m, masks).to_bytes(width * tiles * size, "little"))
+    if tiles == 1:
+        data = bands[0]
+        return tuple(
+            int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)
+        )
+    # Row c of tile t is chunk c * tiles + t of its band.
+    chunked = [[data[i : i + width] for i in range(0, len(data), width)] for data in bands]
+    return tuple(
+        int.from_bytes(b"".join(parts), "little")
+        for t in range(tiles)
+        for parts in zip(*(c[t : tiles * min(size, n - t * size) : tiles] for c in chunked))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,34 +334,42 @@ class DirectedTree:
     ``arcs`` lists the directed edges (u, v) meaning u -> v; ``out_nbrs``,
     ``in_nbrs`` and ``nbrs`` hold each vertex's out-, in- and underlying
     neighbours, ascending.  Construction validates that the underlying
-    undirected graph is a tree.  ``plan`` holds the tree's search plan
-    once :func:`treetour.search.greedy_embed` or ``exhaustive_embed`` has
-    built it, and ``path_order`` its source-to-sink order (``()`` when it
-    is not a directed path) once
+    undirected graph is a tree; only the generators of
+    :mod:`treetour.generate`, whose output is a tree by construction,
+    skip that check (and its BFS) through the private ``_trusted`` flag,
+    as they do for :class:`Tournament`.  ``plan`` holds the tree's
+    search plan once :func:`treetour.search.greedy_embed` or
+    ``exhaustive_embed`` has built it, and ``path_order`` its
+    source-to-sink order (``()`` when it is not a directed path) once
     :func:`treetour.strategies.directed_path_order` has computed it.
     Neither takes part in equality or hashing.
     """
 
     __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs", "plan", "path_order")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        arc_tuple = tuple((int(u), int(v)) for u, v in arcs)
-        if n < 1:
-            raise ValueError("a tree needs at least one vertex")
-        if len(arc_tuple) != n - 1:
-            raise ValueError(f"a tree on {n} vertices needs {n - 1} arcs, got {len(arc_tuple)}")
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]], *, _trusted: bool = False):
+        if _trusted:
+            # The library's generators build trees by construction.
+            arc_tuple = tuple(arcs)
+        else:
+            arc_tuple = tuple((int(u), int(v)) for u, v in arcs)
+            if n < 1:
+                raise ValueError("a tree needs at least one vertex")
+            if len(arc_tuple) != n - 1:
+                raise ValueError(f"a tree on {n} vertices needs {n - 1} arcs, got {len(arc_tuple)}")
+            seen: set[frozenset[int]] = set()
+            for u, v in arc_tuple:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"self-arc at vertex {u}")
+                pair = frozenset((u, v))
+                if pair in seen:
+                    raise ValueError(f"duplicate edge between {u} and {v}")
+                seen.add(pair)
         out_nbrs: list[list[int]] = [[] for _ in range(n)]
         in_nbrs: list[list[int]] = [[] for _ in range(n)]
-        seen: set[frozenset[int]] = set()
         for u, v in arc_tuple:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-arc at vertex {u}")
-            pair = frozenset((u, v))
-            if pair in seen:
-                raise ValueError(f"duplicate edge between {u} and {v}")
-            seen.add(pair)
             out_nbrs[u].append(v)
             in_nbrs[v].append(u)
         self.n = n
@@ -328,11 +379,12 @@ class DirectedTree:
         self.nbrs = tuple(tuple(sorted(o + i)) for o, i in zip(out_nbrs, in_nbrs))
         self.plan = None
         self.path_order = None
-        # Connectivity: n-1 distinct edges + connected <=> tree.
-        reached = self.rooted(0).order
-        if len(reached) != n:
-            missing = min(set(range(n)) - set(reached))
-            raise ValueError(f"not connected: vertex {missing} unreachable")
+        if not _trusted:
+            # Connectivity: n-1 distinct edges + connected <=> tree.
+            reached = self.rooted(0).order
+            if len(reached) != n:
+                missing = min(set(range(n)) - set(reached))
+                raise ValueError(f"not connected: vertex {missing} unreachable")
 
     # -- queries ---------------------------------------------------------
 

@@ -214,6 +214,53 @@ def test_tournament_text_matches_the_verbatim_reference():
     assert seen == set(TOURNAMENT_ERRORS), seen
 
 
+def _entry_mutations(G, rng):
+    """Texts of ``G`` with matrix entries changed: a diagonal 1, one side of
+    a pair flipped, both sides set, both cleared, and two of these at once
+    (so the first bad entry in the loops' order must be the one named)."""
+    n = G.n
+    header, *rows = write_tournament(G).split("\n")[:-1]
+    grid = [list(row) for row in rows]
+
+    def diagonal(g):
+        i = rng.randrange(n)
+        g[i][i] = "1"
+
+    def flip(g):
+        i, j = rng.sample(range(n), 2)
+        g[i][j] = "1" if g[i][j] == "0" else "0"
+
+    def pair(value):
+        def set_both(g):
+            i, j = rng.sample(range(n), 2)
+            g[i][j] = g[j][i] = value
+
+        return set_both
+
+    edits = [diagonal, flip, pair("1"), pair("0")]
+    plans = [[e] for e in edits] + [[rng.choice(edits), rng.choice(edits)] for _ in range(4)]
+    for plan in plans:
+        g = [row[:] for row in grid]
+        for edit in plan:
+            edit(g)
+        yield "\n".join([header, *("".join(row) for row in g)]) + "\n"
+
+
+@pytest.mark.parametrize("sizes", [range(2, 41), [600]], ids=["n2-40", "n600"])
+def test_tournament_entry_errors_match_the_verbatim_loops(sizes):
+    """The transposition check accepts exactly the matrices the per-entry
+    loops accept, and a failing matrix names the same first bad entry."""
+    rng = random.Random(26)
+    for n in sizes:
+        hosts = [random_tournament(n, seed=n), transitive_tournament(n)]
+        if n % 2:
+            hosts.append(rotational_regular_tournament(n))
+        for G in hosts:
+            for mutated in _entry_mutations(G, rng):
+                got = _parse_outcome(parse_tournament, mutated)
+                assert got == _parse_outcome(_reference_parse_tournament, mutated), (n, mutated)
+
+
 # ---------------------------------------------------------------------------
 # Tree parse errors carry line positions
 

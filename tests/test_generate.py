@@ -6,6 +6,8 @@ and oriented trees (1,1,3,8,27,91,...).  Generators are checked for the
 structural properties that define them.
 """
 
+import hashlib
+
 import pytest
 
 from treetour import (
@@ -56,6 +58,64 @@ def test_star_and_path_shapes():
     assert outward_star(4).arcs == ((0, 1), (0, 2), (0, 3))
     assert directed_path(4).arcs == ((0, 1), (1, 2), (2, 3))
     assert inward_star(4).reverse() == outward_star(4)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        transitive_tournament,
+        directed_path,
+        inward_star,
+        outward_star,
+        lambda n: list(enumerate_oriented_trees(n)),
+    ],
+    ids=["transitive", "path", "in-star", "out-star", "enumerate-trees"],
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_fixed_generators_need_a_positive_order(generate, n):
+    with pytest.raises(ValueError) as err:
+        generate(n)
+    assert str(err.value) == "n must be positive"
+
+
+def test_trusted_generator_trees_equal_validated_rebuilds():
+    """Every tree a generator builds without the constructor's checks is
+    rebuilt through them: same tree, same neighbour tuples."""
+    trees = [random_oriented_tree(n, s) for n in range(1, 61) for s in (0, 1, 2, 2**64 - 1)]
+    trees += [f(n) for n in range(1, 41) for f in (directed_path, inward_star, outward_star)]
+    trees += [near_extremal_pair(n, ell)[0] for n, ell in ((4, 2), (8, 2), (12, 4), (40, 6))]
+    trees += [T for n in range(1, 7) for T in enumerate_oriented_trees(n)]
+    for T in trees:
+        rebuilt = DirectedTree(T.n, T.arcs)
+        assert rebuilt == T
+        assert (rebuilt.out_nbrs, rebuilt.in_nbrs, rebuilt.nbrs) == (T.out_nbrs, T.in_nbrs, T.nbrs)
+
+
+# Host sizes on both sides of the 512-vertex band cutoff of
+# `transpose_rows`, and the seeds of the pinned generator outputs.
+PINNED_NS = list(range(1, 12)) + [20, 24, 62, 65, 200, 398, 1433, 1600]
+PINNED_SEEDS = (0, 1, 2**64 - 1)
+PINNED_DIGEST = "9053574cc130c5932cfa20144c4894df89e3550dfb942ce27d1fddbda1f0a683"
+
+
+def test_generator_outputs_match_their_pinned_digest():
+    """Seeded streams and fixed families are byte-identical to the
+    outputs the digest was taken from, before the generators built rows
+    by rotation and packed words and trusted their own trees."""
+    h = hashlib.sha256()
+    for n in PINNED_NS:
+        for seed in PINNED_SEEDS:
+            h.update(repr(random_tournament(n, seed).out_rows).encode())
+            h.update(repr(random_oriented_tree(n, seed).arcs).encode())
+    for m in range(1, 402, 2):
+        h.update(repr(rotational_regular_tournament(m).out_rows).encode())
+    for n in list(range(1, 41)) + [1500]:
+        for T in (directed_path(n), inward_star(n), outward_star(n)):
+            h.update(repr((T.arcs, T.out_nbrs, T.in_nbrs, T.nbrs)).encode())
+    for n, ell in ((6, 2), (10, 4), (12, 6), (40, 6)):
+        T, G = near_extremal_pair(n, ell)
+        h.update(repr((T.arcs, T.out_nbrs, T.in_nbrs, T.nbrs, G.out_rows)).encode())
+    assert h.hexdigest() == PINNED_DIGEST
 
 
 # ---------------------------------------------------------------------------

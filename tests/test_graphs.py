@@ -71,13 +71,16 @@ def test_from_arcs_requires_exactly_one_arc_per_pair():
 
 # Sizes around the byte and power-of-two boundaries of the block transpose.
 CORE_SIZES = list(range(1, 10)) + [63, 64, 65, 127, 128, 129, 500]
+# Sizes around the 512-vertex cutoff above which it works in 256-row bands,
+# and around the band and tile boundaries above it.
+BAND_SIZES = [511, 512, 513, 700, 1030]
 
 
 def naive_transpose(n, rows):
     return tuple(sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n))
 
 
-@pytest.mark.parametrize("n", CORE_SIZES)
+@pytest.mark.parametrize("n", CORE_SIZES + BAND_SIZES)
 def test_transpose_rows_matches_naive_transpose(n):
     rng = random.Random(n)
     rows = tuple(rng.getrandbits(n) for _ in range(n))

@@ -380,6 +380,13 @@ def test_cli_gen_near_extremal_writes_both_graphs(capsys):
     assert "tournament 7" in out
 
 
+@pytest.mark.parametrize("kind", ["transitive", "path"])
+def test_cli_gen_of_no_vertices_exits_with_two(kind, capsys):
+    code, out, err = run_cli(capsys, "gen", kind, "-n", "0")
+    assert (code, out) == (2, "")
+    assert "n must be positive" in err
+
+
 def test_cli_enumerate_count_only(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "trees", "-n", "4", "--count-only")
     assert code == 0 and out.strip() == "8"
