@@ -335,9 +335,9 @@ class DirectedTree:
     ``in_nbrs`` and ``nbrs`` hold each vertex's out-, in- and underlying
     neighbours, ascending.  Construction validates that the underlying
     undirected graph is a tree; only the generators of
-    :mod:`treetour.generate`, whose output is a tree by construction,
-    skip that check (and its BFS) through the private ``_trusted`` flag,
-    as they do for :class:`Tournament`.  ``plan`` holds the tree's
+    :mod:`treetour.generate` and :meth:`reverse`, whose output is a tree
+    by construction, skip that check (and its BFS) through the private
+    ``_trusted`` flag, as they do for :class:`Tournament`.  ``plan`` holds the tree's
     search plan once :func:`treetour.search.greedy_embed` or
     ``exhaustive_embed`` has built it, and ``path_order`` its
     source-to-sink order (``()`` when it is not a directed path) once
@@ -410,7 +410,8 @@ class DirectedTree:
         return next(v for v in range(self.n) if not self.in_nbrs[v])
 
     def reverse(self) -> "DirectedTree":
-        return DirectedTree(self.n, tuple((v, u) for u, v in self.arcs))
+        """Every arc turned round: a tree again, so not checked again."""
+        return DirectedTree(self.n, tuple((v, u) for u, v in self.arcs), _trusted=True)
 
     def rooted(self, root: int) -> Rooted:
         """BFS order, parents and subtree sizes of the underlying tree from ``root``."""

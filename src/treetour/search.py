@@ -9,8 +9,10 @@
 - :func:`median_order`: orderings maximizing forward arcs, exact (subset
   DP, n ≤ 20) or local search: first-improvement single-vertex moves,
   with every vertex's prefix sums packed into the fields of one Python
-  int per position, so one pass of n + 1 big-int subtractions and ANDs
-  per move finds every vertex that has an improving move.
+  int per position.  From ``MEDIAN_PAIR_MIN_N`` vertices one pass of
+  ⌈(n+1)/2⌉ big-int subtractions and ANDs over the fieldwise minima of
+  column pairs finds every vertex that has an improving move (n + 1 over
+  the columns on smaller hosts).
 - :func:`embed_outbranching`: median-order-guided greedy embedding of
   outbranchings into hosts with ≥ 2|T|-2 vertices; a miss is
   BudgetExhausted, with no search behind it.
@@ -31,9 +33,9 @@ down the subtree sizes from vertex 0), candidate images ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
-from operator import add, and_, indexOf, rshift, sub
+from operator import add, and_, indexOf, lshift, rshift, sub
 
 from .graphs import (
     DirectedTree,
@@ -383,6 +385,20 @@ def _median_exact(G: Tournament) -> tuple[list[int], int]:
     return order, best[(1 << n) - 1]
 
 
+# From this many host vertices the local search flags moves over pair
+# minima of its columns; below it, over the columns themselves.  Measured
+# crossover of the per-call time on random hosts (BENCH_17.json): the pair
+# minima cost a rebuild per move that outweighs the halved flag pass on
+# smaller hosts.
+MEDIAN_PAIR_MIN_N = 18
+
+
+@lru_cache(maxsize=32)
+def _byte_spread(width: int) -> tuple[int, ...]:
+    """Entry b moves bit k of the byte b to bit ``width * k``."""
+    return tuple(sum(1 << width * k for k in range(8) if b >> k & 1) for b in range(256))
+
+
 def _local_search(G: Tournament) -> tuple[list[int], int]:
     """First-improvement single-vertex moves to a fixed point, restarted
     from the 5 rotations of the Redei path; the best order and its count.
@@ -394,19 +410,30 @@ def _local_search(G: Tournament) -> tuple[list[int], int]:
     improving target is the first q with P_v[q] < P_v[i] (q - 1 when q > i).
 
     Vertex u owns field u, ``width`` bits wide, of each Python int below:
-    room for P_u + n - 1 (0 .. 2n - 2) and a guard bit on top.  Column q of
-    ``P`` holds every P_u[q] + n - 1 with the guard set, built per restart
-    as P[q+1] = P[q] + D[order[q]], where D[w] = spread(in_rows[w]) -
-    spread(out_rows[w]) is built once per call (spread moves bit u of a
-    row to the bottom of field u).  ``L`` holds every level
-    P_u[pos u] + n - 1.  No field borrows from the next in P[q] - L, and
-    its guard survives iff P_u[q] >= P_u[pos u], so ``guards & ~AND_q
-    (P[q] - L)`` flags every vertex with an improving move in one pass over
-    the n + 1 columns.  Each move is the one a rescan from position 0 would
-    make: the flagged vertex with the lowest position, to its first
-    improving target.  A move between positions lo < hi shifts the columns
-    between them by one place and by ±D[v], so L changes only on the fields
-    of the vertices v passes (by their sign against v) and on v's own.
+    room for P_u + n - 1 (0 .. 2n - 2) and a guard bit on top.  ``ins[w]``
+    spreads in_rows[w] (bit u to the bottom of field u), a byte at a time
+    through :func:`_byte_spread`, and ``outs[w] = units ^ unit[w] ^
+    ins[w]`` spreads out_rows[w].  Column q of ``P`` holds every P_u[q] +
+    n - 1 with the guard set, built per restart as P[q+1] = P[q] +
+    ins[order[q]] - outs[order[q]].  ``L`` holds every level P_u[pos u] +
+    n - 1.  No field borrows from the next in P[q] - L, and its guard
+    survives iff P_u[q] >= P_u[pos u].
+
+    P_u steps by at most one per column, and from column 2h to 2h + 1 it
+    steps down exactly on the fields of outs[order[2h]], so M[h] = P[2h] -
+    outs[order[2h]] is the fieldwise minimum of the pair (column n alone
+    when n is even).  From ``MEDIAN_PAIR_MIN_N`` vertices ``M`` holds these
+    ⌈(n+1)/2⌉ pair minima; below it ``M`` is ``P``.  ``guards & ~AND_h
+    (M[h] - L)`` flags every vertex with an improving move in one pass.
+    Each move is the one a rescan from position 0 would make: the flagged
+    vertex v with the lowest position, to its first improving target,
+    which lies in the first entry of ``M`` whose difference with ``L`` has
+    lost v's guard (column 2h, else 2h + 1, within a pair).  A move between
+    positions lo < hi shifts the columns between them by one place and by
+    ±(ins[v] - outs[v]), so L changes only on the fields of the vertices v
+    passes (by their sign against v) and on v's own, and only pairs
+    lo // 2 .. hi // 2 are rebuilt.  ``upos`` and ``opos`` hold the unit
+    and the out-spread of the vertex at each position, beside ``order``.
     """
     base = redei_path(G)
     n = G.n
@@ -416,39 +443,66 @@ def _local_search(G: Tournament) -> tuple[list[int], int]:
     field = [e * ones for e in unit]
     shifts = [width * u for u in range(n)]
     units = sum(unit)
-    guards = units << (width - 1)
-    spread = {ord("0"): "0" * width, ord("1"): "1".rjust(width, "0")}
-    ins = [int(format(row, f"0{n}b").translate(spread), 2) for row in G.in_rows]
+    g = width - 1
+    guards = units << g
+    spread = _byte_spread(width).__getitem__
+    nbytes = (n + 7) // 8
+    steps = [8 * width * b for b in range(nbytes)]
+    ins = [sum(map(lshift, map(spread, row.to_bytes(nbytes, "little")), steps)) for row in G.in_rows]
     diff = [2 * i - units + e for i, e in zip(ins, unit)]
+    upos0 = list(map(unit.__getitem__, base))
+    paired = n >= MEDIAN_PAIR_MIN_N
+    if paired:
+        opos0 = [units ^ unit[w] ^ ins[w] for w in base]
     best_order: list[int] = []
     best_count = -1
     for k in range(5):
         r = k * n // 5
         order = base[r:] + base[:r]
+        upos = upos0[r:] + upos0[:r]
         P = list(accumulate(map(diff.__getitem__, order), initial=guards + (n - 1) * units))
         L = sum(map(and_, P, map(field.__getitem__, order))) - guards
-        while flags := guards & ~reduce(and_, map(sub, P, repeat(L))):
-            for i, v in enumerate(order):  # the lowest flagged position
-                if flags & field[v]:
+        M = P
+        if paired:
+            opos = opos0[r:] + opos0[:r] + [0]  # column n is unpaired when n is even
+            M = list(map(sub, P[::2], opos[::2]))
+        while flags := guards & ~reduce(and_, R := list(map(sub, M, repeat(L)))):
+            flags >>= g
+            for i, e in enumerate(upos):  # the lowest flagged position
+                if flags & e:
                     break
+            q = indexOf(map((e << g).__and__, R), 0)  # the first to lose v's guard
+            v = order[i]
             fv = field[v]
             level = P[i] & fv
-            # P_v moves in steps of ±1 apart from the 0 at v, from P_v[0] = 0,
-            # so the first q with P_v[q] < level is 0 or the first at level - 1.
-            q = 0 if P[0] & fv < level else indexOf(map(fv.__and__, P), level - unit[v])
+            if paired:  # column 2h if it is below the level, else 2h + 1
+                q *= 2
+                if P[q] & fv >= level:
+                    q += 1
+                    # A stale or wrong pair minimum would make a move that
+                    # gains nothing, and the search might never stop.
+                    if P[q] & fv >= level:  # pragma: no cover
+                        raise GraphDefectError("a pair minimum lies below both its columns")
             if q < i:
-                j = q
+                j = lo = q
+                hi = i
                 order.insert(j, order.pop(i))
+                upos.insert(j, upos.pop(i))
                 P[j + 1 : i + 1] = map(add, P[j:i], repeat(diff[v]))
-                passed = sum(map(unit.__getitem__, order[j + 1 : i + 1]))
+                passed = sum(upos[j + 1 : i + 1])
                 L += 2 * (ins[v] & passed) - passed
             else:
-                j = q - 1
+                j = hi = q - 1
+                lo = i
                 order.insert(j, order.pop(i))
+                upos.insert(j, upos.pop(i))
                 P[i + 1 : j + 1] = map(sub, P[i + 2 : j + 2], repeat(diff[v]))
-                passed = sum(map(unit.__getitem__, order[i:j]))
+                passed = sum(upos[i:j])
                 L -= 2 * (ins[v] & passed) - passed
             L += (P[j] & fv) - level
+            if paired:
+                opos.insert(j, opos.pop(i))
+                M[lo // 2 : hi // 2 + 1] = map(sub, P[lo & ~1 : hi + 1 : 2], opos[lo & ~1 : hi + 1 : 2])
         # The levels P_u[pos u] sum the signs of all pairs, +1 per backward
         # and -1 per forward arc, so they total n(n-1)/2 - 2 * forward arcs.
         levels = sum(map(and_, map(rshift, repeat(L), shifts), repeat(ones))) - n * (n - 1)
@@ -474,10 +528,15 @@ def median_order(G: Tournament, mode: str = "local") -> tuple[list[int], int]:
 
     Vertex u owns a field of about log2(n) + 2 bits in one Python int per
     position q, holding u's prefix sum of signs against the vertices
-    before q, with a guard bit on top.  A move costs one pass of n + 1
-    big-int subtractions and ANDs, which flags every vertex that has an
-    improving move, then an update of the columns and fields between the
-    move's two ends.  Memory is O(n) ints of O(n log n) bits.
+    before q, with a guard bit on top.  A prefix sum steps by at most one
+    per position, so one subtraction gives the fieldwise minimum of two
+    adjacent columns.  From ``MEDIAN_PAIR_MIN_N`` vertices a move costs
+    one pass of ⌈(n+1)/2⌉ big-int subtractions and ANDs over these pair
+    minima, which flags every vertex that has an improving move, then an
+    update of the columns, fields and pair minima between the move's two
+    ends; on smaller hosts the pass runs over the n + 1 columns, which is
+    cheaper there.  Both make the same moves.  Memory is O(n) ints of
+    O(n log n) bits.
     """
     if mode == "exact":
         return _median_exact(G)

@@ -7,11 +7,13 @@ structural properties that define them.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from treetour import (
     DirectedTree,
+    Tournament,
     canonical_form,
     degrees,
     enumerate_oriented_trees,
@@ -24,6 +26,7 @@ from treetour import (
     stream,
     transitive_tournament,
 )
+from treetour.formats import parse_tree, write_tree
 from treetour.generate import directed_path, outward_star, oriented_tree_key
 
 
@@ -89,6 +92,23 @@ def test_trusted_generator_trees_equal_validated_rebuilds():
         rebuilt = DirectedTree(T.n, T.arcs)
         assert rebuilt == T
         assert (rebuilt.out_nbrs, rebuilt.in_nbrs, rebuilt.nbrs) == (T.out_nbrs, T.in_nbrs, T.nbrs)
+
+
+def test_reversed_trees_equal_validated_rebuilds():
+    """``reverse`` skips the tree checks, since turning every arc round
+    keeps a tree: from generator trees and parsed trees alike, it equals
+    the validated construction of the turned arcs."""
+    trees = [random_oriented_tree(n, s) for n in range(1, 61) for s in (0, 1)]
+    trees += [f(n) for n in range(1, 21) for f in (directed_path, inward_star, outward_star)]
+    trees += [near_extremal_pair(n, ell)[0] for n, ell in ((4, 2), (12, 4), (40, 6))]
+    trees += [T for n in range(1, 6) for T in enumerate_oriented_trees(n)]
+    trees += [parse_tree(write_tree(T)) for T in trees]
+    for T in trees:
+        R = T.reverse()
+        rebuilt = DirectedTree(T.n, [(v, u) for u, v in T.arcs])
+        assert R == rebuilt and R.arcs == rebuilt.arcs
+        assert (R.out_nbrs, R.in_nbrs, R.nbrs) == (rebuilt.out_nbrs, rebuilt.in_nbrs, rebuilt.nbrs)
+        assert R.reverse() == T
 
 
 # Host sizes on both sides of the 512-vertex band cutoff of
@@ -172,6 +192,36 @@ def test_near_extremal_host_has_one_way_blocks():
     assert all(G.has_arc(z, x) for z in z_ids for x in x_ids)
     assert all(G.has_arc(x, y) for x in x_ids for y in y_ids)
     assert all(G.has_arc(z, y) for z in z_ids for y in y_ids)
+
+
+def _reference_near_extremal_host(n, path_len):
+    """The host as it was built before its rows were written whole: every
+    arc listed, then the validated ``Tournament.from_arcs``."""
+    y = (n - path_len) // 2
+    block = 2 * y - 1
+    y_ids = list(range(block))
+    z_ids = list(range(block, 2 * block))
+    x_ids = list(range(2 * block, 2 * block + path_len - 1))
+    rot = rotational_regular_tournament(block)
+    g_arcs = []
+    for ids in (y_ids, z_ids):
+        g_arcs += [(ids[u], ids[v]) for u, v in rot.arcs()]
+    g_arcs += [(u, v) for u, v in itertools.combinations(x_ids, 2)]
+    g_arcs += [(z, x) for z in z_ids for x in x_ids]
+    g_arcs += [(x, yv) for x in x_ids for yv in y_ids]
+    g_arcs += [(z, yv) for z in z_ids for yv in y_ids]
+    return Tournament.from_arcs(2 * block + path_len - 1, g_arcs)
+
+
+def test_near_extremal_host_rows_equal_the_arc_list_build():
+    cases = 0
+    for ell in range(1, 9):
+        for n in range(ell + 2, 61, 2):
+            _, G = near_extremal_pair(n, ell)
+            ref = _reference_near_extremal_host(n, ell)
+            assert (G.n, G.out_rows, G.in_rows) == (ref.n, ref.out_rows, ref.in_rows), (n, ell)
+            cases += 1
+    assert cases == 220
 
 
 def test_near_extremal_rejects_odd_or_nonpositive_remainder():

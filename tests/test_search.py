@@ -595,6 +595,94 @@ def test_local_median_order_and_redei_path_match_the_reference():
     assert hosts == 120 + 3 + 6 + 14 + 21 + 2 + 6 + 29
 
 
+# Reference: the local search before pair minima, verbatim: one flag pass
+# over all n + 1 columns per move.  Flagging over pair minima (and, below
+# MEDIAN_PAIR_MIN_N, over the columns with the target read off the stored
+# differences) must make the same moves, so it returns the same order and
+# count.
+
+
+def _reference_column_local_search(G):
+    from functools import reduce
+    from itertools import accumulate, repeat
+    from operator import add, and_, indexOf, rshift, sub
+
+    base = redei_path(G)
+    n = G.n
+    width = (2 * n - 2).bit_length() + 1
+    unit = [1 << (width * u) for u in range(n)]
+    ones = (1 << width) - 1
+    field = [e * ones for e in unit]
+    shifts = [width * u for u in range(n)]
+    units = sum(unit)
+    guards = units << (width - 1)
+    spread = {ord("0"): "0" * width, ord("1"): "1".rjust(width, "0")}
+    ins = [int(format(row, f"0{n}b").translate(spread), 2) for row in G.in_rows]
+    diff = [2 * i - units + e for i, e in zip(ins, unit)]
+    best_order: list[int] = []
+    best_count = -1
+    for k in range(5):
+        r = k * n // 5
+        order = base[r:] + base[:r]
+        P = list(accumulate(map(diff.__getitem__, order), initial=guards + (n - 1) * units))
+        L = sum(map(and_, P, map(field.__getitem__, order))) - guards
+        while flags := guards & ~reduce(and_, map(sub, P, repeat(L))):
+            for i, v in enumerate(order):  # the lowest flagged position
+                if flags & field[v]:
+                    break
+            fv = field[v]
+            level = P[i] & fv
+            # P_v moves in steps of ±1 apart from the 0 at v, from P_v[0] = 0,
+            # so the first q with P_v[q] < level is 0 or the first at level - 1.
+            q = 0 if P[0] & fv < level else indexOf(map(fv.__and__, P), level - unit[v])
+            if q < i:
+                j = q
+                order.insert(j, order.pop(i))
+                P[j + 1 : i + 1] = map(add, P[j:i], repeat(diff[v]))
+                passed = sum(map(unit.__getitem__, order[j + 1 : i + 1]))
+                L += 2 * (ins[v] & passed) - passed
+            else:
+                j = q - 1
+                order.insert(j, order.pop(i))
+                P[i + 1 : j + 1] = map(sub, P[i + 2 : j + 2], repeat(diff[v]))
+                passed = sum(map(unit.__getitem__, order[i:j]))
+                L -= 2 * (ins[v] & passed) - passed
+            L += (P[j] & fv) - level
+        # The levels P_u[pos u] sum the signs of all pairs, +1 per backward
+        # and -1 per forward arc, so they total n(n-1)/2 - 2 * forward arcs.
+        levels = sum(map(and_, map(rshift, repeat(L), shifts), repeat(ones))) - n * (n - 1)
+        count = (n * (n - 1) // 2 - levels) // 2
+        if count > best_count:
+            best_count = count
+            best_order = order
+    return best_order, best_count
+
+
+def _column_search_hosts():
+    yield from _oracle_hosts()
+    # both parities of n + 1 (an unpaired last column when n is even), and
+    # the fields' growth from 8 to 9 bits between n = 64 and 65
+    for n in range(1, 71):
+        for seed in (7, 8):
+            yield f"random n={n} seed={seed}", random_tournament(n, seed=seed)
+    rng = random.Random(11)
+    for n in range(1, 72, 2):
+        yield f"rotational n={n}", rotational_regular_tournament(n)
+        yield f"relabelled rotational n={n}", _relabelled(rotational_regular_tournament(n), rng)
+    for n in (*range(1, 21), 31, 32, 64, 65, 70):
+        yield f"reversed transitive n={n}", transitive_tournament(n).reverse()
+
+
+@pytest.mark.parametrize("pair_min_n", [1, 10**9], ids=["pairs", "columns"])
+def test_local_search_makes_the_moves_of_the_column_search(monkeypatch, pair_min_n):
+    monkeypatch.setattr(search, "MEDIAN_PAIR_MIN_N", pair_min_n)
+    hosts = 0
+    for name, G in _column_search_hosts():
+        assert search._local_search(G) == _reference_column_local_search(G), name
+        hosts += 1
+    assert hosts == 201 + 140 + 72 + 25
+
+
 def test_redei_path_of_large_transitive_host_needs_no_scan():
     assert redei_path(transitive_tournament(8000)) == list(range(8000))
 
