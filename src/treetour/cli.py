@@ -15,21 +15,15 @@ Exit codes: 0 success / all pass, 1 counterexample or failure, 2 invalid
 input or configuration, 3 decomposition parameters outside their working
 regime at this size (:class:`~treetour.expansion.SplitRegimeError`).
 
-Each subcommand takes only the flags its handler reads.  The defaults of
-``--seed``, ``--workers``, ``--budget``, ``--out``, ``--format``,
-``--config`` and ``--scale`` may be overridden by the environment
-variables ``TREETOUR_SEED``, ``TREETOUR_WORKERS``, ``TREETOUR_BUDGET``,
-``TREETOUR_OUT``, ``TREETOUR_FORMAT``, ``TREETOUR_CONFIG`` and
-``TREETOUR_SCALE``; explicit flags win over the environment.  A
-``--config FILE`` of ``key = value`` lines is echoed into campaign
-summaries for provenance.
+Each subcommand takes only the flags its handler reads, and each setting
+has exactly one flag; nothing is read from the environment.  Campaign
+reports are JSON lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,7 +50,6 @@ from .generate import (
 from .graphs import ParseError, as_fraction, bit_list
 from .props import PropertyConfig, available_suites, run_property_suites
 from .reports import (
-    reports_to_csv,
     reports_to_jsonl,
     summary_to_json,
     verify_sharpness,
@@ -70,30 +63,6 @@ __all__ = ["main"]
 
 # Sampled-check default of `decompose`.
 _DECOMPOSE_SAMPLE_BUDGET = 1000
-
-
-def _env(name: str, fallback):
-    raw = os.environ.get(f"TREETOUR_{name.upper().replace('-', '_')}")
-    return fallback if raw is None else raw
-
-
-def _read_config_file(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
-            )
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
-    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,11 +82,7 @@ def _load_tournament(path: str):
 
 def _write_campaign(reports, summary, args) -> int:
     include_timing = not args.no_timing
-    if args.format == "csv":
-        body = reports_to_csv(reports)
-    else:
-        body = reports_to_jsonl(reports, include_timing=include_timing)
-    _emit(body, args.out)
+    _emit(reports_to_jsonl(reports, include_timing=include_timing), args.out)
     sys.stdout.write(summary_to_json(summary, include_timing=include_timing))
     return summary.exit_code
 
@@ -242,7 +207,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify_sumner(args) -> int:
-    extra = _read_config_file(args.config)
     tournament_source = args.tournament_source
     if tournament_source == "sample":
         tournament_source = ("sample", args.count, args.seed)
@@ -250,29 +214,27 @@ def _cmd_verify_sumner(args) -> int:
     if tree_source == "sample":
         tree_source = ("sample", args.count, args.seed)
     reports, summary = verify_sumner(
-        args.n,
-        tournament_source,
-        tree_source,
-        workers=args.workers,
-        extra_config=extra,
+        args.n, tournament_source, tree_source, workers=args.workers
     )
     return _write_campaign(reports, summary, args)
 
 
 def _cmd_verify_sharpness(args) -> int:
-    extra = _read_config_file(args.config)
     lo, _, hi = args.n_range.partition("-")
     n_range = range(int(lo), int(hi or lo) + 1)
     pairs = []
     if args.near_extremal:
         for chunk in args.near_extremal.split(";"):
-            a, b = chunk.split(",")
-            pairs.append((int(a), int(b)))
+            try:
+                n, path_len = map(int, chunk.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"--near-extremal entry {chunk!r} is not of the form "
+                    "n,path_len"
+                ) from None
+            pairs.append((n, path_len))
     reports, summary = verify_sharpness(
-        n_range,
-        tuple(pairs),
-        workers=args.workers,
-        extra_config=extra,
+        n_range, tuple(pairs), workers=args.workers
     )
     return _write_campaign(reports, summary, args)
 
@@ -307,11 +269,11 @@ def _add_out(p: argparse.ArgumentParser, *, seed: bool = False) -> None:
     """``--out`` for every subcommand, and ``--seed`` for the seeded ones."""
     if seed:
         p.add_argument(
-            "--seed", type=int, default=int(_env("seed", 0)),
+            "--seed", type=int, default=0,
             help="base PRNG seed (default 0)",
         )
     p.add_argument(
-        "--out", default=_env("out", None),
+        "--out", default=None,
         help="output path ('-' or omitted: stdout)",
     )
 
@@ -319,17 +281,8 @@ def _add_out(p: argparse.ArgumentParser, *, seed: bool = False) -> None:
 def _add_campaign(p: argparse.ArgumentParser) -> None:
     """The flags of the campaign subcommands."""
     p.add_argument(
-        "--workers", type=int, default=int(_env("workers", 1)),
+        "--workers", type=int, default=1,
         help="parallel worker count for campaigns (default 1)",
-    )
-    p.add_argument(
-        "--format", choices=("json", "csv"),
-        default=_env("format", "json"),
-        help="campaign report format (default json lines)",
-    )
-    p.add_argument(
-        "--config", default=_env("config", None),
-        help="key = value file echoed into campaign summaries",
     )
     p.add_argument(
         "--no-timing", action="store_true",
@@ -342,9 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="treetour",
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="Environment overrides: TREETOUR_SEED, TREETOUR_WORKERS, "
-        "TREETOUR_BUDGET, TREETOUR_OUT, TREETOUR_FORMAT, TREETOUR_CONFIG, "
-        "TREETOUR_SCALE.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--tournament", required=True)
     p.add_argument(
-        "--budget", type=int, default=int(_env("budget", DEFAULT_NODE_BUDGET)),
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET,
         help="search node budget (default 10^7)",
     )
     _add_out(p)
@@ -442,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(available_suites())}",
     )
     p.add_argument(
-        "--scale", type=float, default=float(_env("scale", 1.0)),
+        "--scale", type=float, default=1.0,
         help="case-count multiplier (default 1.0)",
     )
     p.add_argument(

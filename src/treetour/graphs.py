@@ -66,12 +66,19 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
 
     Ints, strings ("1/3", "0.25") and Fractions convert exactly; a float
     converts to its exact binary value.  Every threshold comparison in
-    this package goes through Fractions, never float arithmetic.
+    this package goes through Fractions, never float arithmetic.  A value
+    with no exact fraction (a zero denominator, an infinite or NaN float,
+    malformed text) is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(
+                f"cannot interpret {x!r} as an exact fraction"
+            ) from None
     raise TypeError(f"cannot interpret {x!r} as an exact fraction")
 
 

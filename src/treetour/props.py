@@ -85,14 +85,21 @@ __all__ = [
 class PropertyConfig:
     """Shared knobs for every suite.
 
-    ``scale`` multiplies case counts (use small values for quick runs);
-    ``inject_embedding_defect`` deliberately corrupts one embedding so
-    that the harness's failure detection can itself be tested.
+    ``scale`` multiplies case counts (use small values for quick runs)
+    and must be finite and positive; ``inject_embedding_defect``
+    deliberately corrupts one embedding so that the harness's failure
+    detection can itself be tested.
     """
 
     seed: int = 0
     scale: float = 1.0
     inject_embedding_defect: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0 < self.scale < float("inf"):
+            raise ValueError(
+                f"scale must be finite and positive, got {self.scale}"
+            )
 
 
 @dataclass(frozen=True)

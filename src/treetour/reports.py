@@ -6,8 +6,8 @@ process pool).  A chunk parses each distinct host text once; a tree text
 is parsed, and its search plan built, once per process, since each chunk
 reuses the trees of the chunk before it.  :class:`InstanceReport` records
 merge in task order, so output is identical regardless of scheduling;
-reports serialize to JSON lines and CSV, and all but wall-clock timing is
-a function of configuration and seeds.
+reports serialize to JSON lines, and all but wall-clock timing is a
+function of configuration and seeds.
 
 The two stock campaigns:
 
@@ -22,8 +22,6 @@ The two stock campaigns:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,7 +49,6 @@ __all__ = [
     "verify_sumner",
     "verify_sharpness",
     "reports_to_jsonl",
-    "reports_to_csv",
     "summary_to_json",
 ]
 
@@ -201,6 +198,7 @@ def run_campaign(
 
 LABELLED_HOST_CAP = 6
 ISO_HOST_CAP = 8
+SHARPNESS_HOST_CAP = 15
 
 
 def _check_sample_count(count: int) -> None:
@@ -270,7 +268,6 @@ def verify_sumner(
     tree_source="iso",
     *,
     workers: int = 1,
-    extra_config: dict[str, str] | None = None,
 ) -> tuple[list[InstanceReport], CampaignSummary]:
     """Embed every n-vertex tree in every (2n−2)-vertex tournament.
 
@@ -300,7 +297,6 @@ def verify_sumner(
         "trees": str(len(trees)),
         "tournaments": str(len(hosts)),
         "version": __version__,
-        **(extra_config or {}),
     }
     return run_campaign(tasks, workers=workers, config=config)
 
@@ -310,7 +306,6 @@ def verify_sharpness(
     near_extremal_pairs=((6, 2), (7, 3), (8, 2)),
     *,
     workers: int = 1,
-    extra_config: dict[str, str] | None = None,
 ) -> tuple[list[InstanceReport], CampaignSummary]:
     """Certify the tightness constructions by complete search.
 
@@ -327,10 +322,10 @@ def verify_sharpness(
         if n < 2:
             raise ValueError("sharpness cases need n >= 2")
         host_n = 2 * n - 3
-        if host_n > 15:
+        if host_n > SHARPNESS_HOST_CAP:
             raise ValueError(
-                f"complete-search certification capped at 15 host vertices, "
-                f"n = {n} gives {host_n}"
+                f"complete-search certification capped at {SHARPNESS_HOST_CAP} "
+                f"host vertices, n = {n} gives {host_n}"
             )
         tasks.append(
             (
@@ -344,10 +339,10 @@ def verify_sharpness(
         )
     for n, ell in near_extremal_pairs:
         T, G = near_extremal_pair(n, ell)
-        if G.n > 15:
+        if G.n > SHARPNESS_HOST_CAP:
             raise ValueError(
-                f"complete-search certification capped at 15 host vertices, "
-                f"(n,l) = ({n},{ell}) gives {G.n}"
+                f"complete-search certification capped at {SHARPNESS_HOST_CAP} "
+                f"host vertices, (n,l) = ({n},{ell}) gives {G.n}"
             )
         tasks.append(
             (
@@ -369,7 +364,6 @@ def verify_sharpness(
         "n_range": ",".join(str(n) for n in n_range),
         "near_extremal": ";".join(f"{n},{l}" for n, l in near_extremal_pairs),
         "version": __version__,
-        **(extra_config or {}),
     }
     return run_campaign(tasks, workers=workers, config=config)
 
@@ -417,21 +411,3 @@ def summary_to_json(
     if include_timing:
         d["elapsed"] = summary.elapsed
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
-
-
-def reports_to_csv(reports: list[InstanceReport]) -> str:
-    """Tabular export: one row per instance, embeddings as 'u:v' lists."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["instance", "verdict", "ok", "strategy", "seed", "elapsed", "embedding"]
-    )
-    for r in reports:
-        emb = (
-            "" if r.embedding is None
-            else " ".join(f"{k}:{v}" for k, v in r.embedding)
-        )
-        writer.writerow(
-            [r.instance, r.verdict, r.ok, r.strategy or "", r.seed, r.elapsed, emb]
-        )
-    return buf.getvalue()
