@@ -22,75 +22,73 @@ orientation of a tree.  This package provides:
 
 All randomness flows through an explicit, documented, bit-exact PRNG; equal
 seeds give equal outputs on every platform.
+
+Each export loads on first use (PEP 562): ``import treetour`` runs none of
+the modules above, and ``treetour.verify_sumner`` imports the campaign
+code and what it calls, not the property suites or the expansion code.
 """
 
 __version__ = "0.1.0"
 
-from .graphs import (
-    DirectedTree,
-    GraphDefectError,
-    ParseError,
-    PartialMapError,
-    Tournament,
-    as_fraction,
-    canonical_form,
-    degrees,
-    directed_edge_count,
-    is_valid_embedding,
-)
-from .formats import parse_tournament, parse_tree, write_tournament, write_tree
-from .weights import (
-    CoreTree,
-    WeightProfile,
-    core_tree,
-    weight_profile,
-)
-from .search import (
-    EmbedOutcome,
-    embed_outbranching,
-    exhaustive_embed,
-    forward_arc_count,
-    greedy_embed,
-    median_order,
-    redei_path,
-)
-from .generate import (
-    enumerate_oriented_trees,
-    enumerate_tournaments,
-    inward_star,
-    near_extremal_pair,
-    random_oriented_tree,
-    random_tournament,
-    rotational_regular_tournament,
-    stream,
-    transitive_tournament,
-)
-from .strategies import portfolio_embed
-from .expansion import (
-    ExpanderVerdict,
-    SplitResult,
-    SplitRegimeError,
-    SplitSearchExhausted,
-    is_robust_outexpander,
-    make_expander_checker,
-    non_expander_split,
-    robust_out_neighbourhood,
-    tournament_split,
-)
-from .reports import (
-    CampaignSummary,
-    InstanceReport,
-    run_campaign,
-    verify_sharpness,
-    verify_sumner,
-)
-from .props import (
-    PropertyConfig,
-    available_suites,
-    run_property_suites,
-    shrink_tournament,
-    shrink_tree,
-)
+from importlib import import_module
+
+# Each export and the module that defines it.
+_HOMES = {
+    "DirectedTree": "graphs",
+    "GraphDefectError": "graphs",
+    "ParseError": "graphs",
+    "PartialMapError": "graphs",
+    "Tournament": "graphs",
+    "as_fraction": "graphs",
+    "canonical_form": "graphs",
+    "degrees": "graphs",
+    "directed_edge_count": "graphs",
+    "is_valid_embedding": "graphs",
+    "parse_tournament": "formats",
+    "parse_tree": "formats",
+    "write_tournament": "formats",
+    "write_tree": "formats",
+    "CoreTree": "weights",
+    "WeightProfile": "weights",
+    "core_tree": "weights",
+    "weight_profile": "weights",
+    "EmbedOutcome": "search",
+    "embed_outbranching": "search",
+    "exhaustive_embed": "search",
+    "forward_arc_count": "search",
+    "greedy_embed": "search",
+    "median_order": "search",
+    "redei_path": "search",
+    "enumerate_oriented_trees": "generate",
+    "enumerate_tournaments": "generate",
+    "inward_star": "generate",
+    "near_extremal_pair": "generate",
+    "random_oriented_tree": "generate",
+    "random_tournament": "generate",
+    "rotational_regular_tournament": "generate",
+    "stream": "generate",
+    "transitive_tournament": "generate",
+    "portfolio_embed": "strategies",
+    "ExpanderVerdict": "expansion",
+    "SplitResult": "expansion",
+    "SplitRegimeError": "expansion",
+    "SplitSearchExhausted": "expansion",
+    "is_robust_outexpander": "expansion",
+    "make_expander_checker": "expansion",
+    "non_expander_split": "expansion",
+    "robust_out_neighbourhood": "expansion",
+    "tournament_split": "expansion",
+    "CampaignSummary": "reports",
+    "InstanceReport": "reports",
+    "run_campaign": "reports",
+    "verify_sharpness": "reports",
+    "verify_sumner": "reports",
+    "PropertyConfig": "props",
+    "available_suites": "props",
+    "run_property_suites": "props",
+    "shrink_tournament": "props",
+    "shrink_tree": "props",
+}
 
 __all__ = [
     "__version__",
@@ -158,3 +156,23 @@ __all__ = [
     "shrink_tournament",
     "shrink_tree",
 ]
+
+
+def __getattr__(name: str):
+    """Import an export's module, or a module named in ``_HOMES``, on first
+    access, and keep the value in the package globals: later lookups are
+    plain dictionary hits, and code that scans ``vars(treetour)`` for the
+    bindings of a function, to patch them, finds it there.
+    """
+    if name in _HOMES:
+        value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    elif name in _HOMES.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

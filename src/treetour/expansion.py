@@ -454,6 +454,11 @@ def _sampled_candidates(G: Tournament, lo: int, hi: int, seed: int):
         yield chosen
 
 
+def _check_sample_budget(sample_budget: int) -> None:
+    if sample_budget < 0:
+        raise ValueError(f"sample budget must be at least 0, got {sample_budget}")
+
+
 def _sampled_expander_check(
     G: Tournament, mu: Fraction, nu: Fraction, sample_budget: int, seed: int
 ) -> ExpanderVerdict:
@@ -463,10 +468,17 @@ def _sampled_expander_check(
         return ExpanderVerdict(EXPANDER, "sampled", mu, nu, samples=0)
     t = _ceil(mu * n)
     in_rows = G.in_rows
+    # Candidates repeat and repeats do not count, so the budget is capped by
+    # the window's subset count: a small window ends once all are tried.
+    limit = 0
+    for k in range(lo, hi + 1):
+        limit = min(limit + math.comb(n, k), sample_budget)
+        if limit == sample_budget:
+            break
     seen: set[int] = set()
     checked = 0
     for S in _sampled_candidates(G, lo, hi, seed):
-        if checked >= sample_budget:
+        if checked >= limit:
             break
         size = S.bit_count()
         if S in seen or not (lo <= size <= hi):
@@ -518,9 +530,11 @@ def is_robust_outexpander(
     Sampled mode tries degree-order prefixes/suffixes, vertex
     neighbourhoods and their complements, then seeded random sets,
     counting each robust out-neighbourhood against ``⌈μn⌉`` computed
-    once; failure to falsify is Unknown, never a certificate.  Negative
-    verdicts always carry a witness that has been re-validated by direct
-    recount.
+    once; failure to falsify is Unknown, never a certificate.  It
+    examines at most ``sample_budget`` distinct in-window sets, or every
+    in-window set when the window holds fewer; a negative budget is a
+    ValueError.  Negative verdicts always carry a witness that has been
+    re-validated by direct recount.
     """
     mu_f = _check_unit_interval("mu", mu, closed_top=True)
     nu_f = _check_unit_interval("nu", nu, closed_top=True)
@@ -532,6 +546,7 @@ def is_robust_outexpander(
             )
         return _exact_expander_sweep(G, mu_f, nu_f)
     if mode == "sampled":
+        _check_sample_budget(sample_budget)
         return _sampled_expander_check(G, mu_f, nu_f, sample_budget, seed)
     raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
@@ -698,11 +713,16 @@ def make_expander_checker(
     sample_budget: int = 1000,
     seed: int = 0,
 ) -> ExpanderChecker:
-    """A checker that is exact up to ``exact_limit`` vertices, sampled above."""
+    """A checker that is exact up to ``exact_limit`` vertices, sampled above.
+
+    An ``exact_limit`` above the exact cap or a negative ``sample_budget``
+    is a ValueError.
+    """
     if exact_limit > EXACT_EXPANDER_MAX_N:
         raise ValueError(
             f"exact_limit cannot exceed {EXACT_EXPANDER_MAX_N}"
         )
+    _check_sample_budget(sample_budget)
 
     def check(H: Tournament, mu: Fraction, nu: Fraction) -> ExpanderVerdict:
         if H.n <= exact_limit:

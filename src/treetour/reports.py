@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -173,6 +172,10 @@ def run_campaign(
     if workers > 1 and len(tasks) > 1:
         size = max(1, len(tasks) // (workers * 8))
         slices = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        # Imported here so that serial campaigns and pool workers do not
+        # load the process-pool stack.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = [r for chunk in pool.map(_run_chunk, slices) for r in chunk]
     else:

@@ -117,7 +117,10 @@ def exhaustive_embed(
 
     Found outcomes are valid; NotFound means no embedding exists;
     BudgetExhausted means the search took more than ``node_budget`` nodes.
+    A ``node_budget`` below 1 is a ValueError.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     order, parents, out_need, in_need = _search_plan(T)
     if T.n > G.n:
         return EmbedOutcome(NOT_FOUND, None, 0, "exhaustive", ("too few available vertices",))

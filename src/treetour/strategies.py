@@ -80,7 +80,10 @@ def portfolio_embed(
     exhaustive stages check their own maps and raise
     :class:`GraphDefectError` on an invalid one, and the Rédei-path map,
     built here, is checked here.  Campaigns re-check independently.
+    A ``node_budget`` below 1 is a ValueError.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     notes: list[str] = []
     nodes = 0
     if T.n > G.n:

@@ -129,6 +129,42 @@ def test_sampled_mode_returns_unknown_when_no_witness_surfaces():
         assert rn.bit_count() < v.witness.bit_count() + Fraction(1, 5) * 51
 
 
+def test_sampled_mode_stops_when_the_window_is_exhausted():
+    # 126 subsets lie in the window [1, 6] of 7 vertices and none fails;
+    # repeats are not counted, so a budget of 1000 used to spin forever.
+    G = rotational_regular_tournament(7)
+    mu = nu = Fraction(1, 20)
+    assert is_robust_outexpander(G, mu, nu, "exact").status == EXPANDER
+    v = is_robust_outexpander(G, mu, nu, "sampled", 1000)
+    assert (v.status, v.witness, v.samples) == (UNKNOWN, None, 126)
+    assert is_robust_outexpander(G, mu, nu, "sampled", 50).samples == 50
+
+
+def test_sampled_mode_still_finds_a_planted_witness_in_a_small_window():
+    # Two cyclic triangles, every cross arc from the first to the second:
+    # the second triangle, and each of its vertices, expands too little.
+    # The window [1, 5] holds 62 subsets, fewer than the budget.
+    triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    G = Tournament.from_arcs(6, triangles + [(u, w) for u in range(3) for w in range(3, 6)])
+    mu = nu = Fraction(1, 20)
+    v = is_robust_outexpander(G, mu, nu, "sampled", 1000)
+    assert v.status == NOT_EXPANDER
+    assert robust_out_neighbourhood(G, v.witness, mu).bit_count() < v.witness.bit_count() + 1
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: is_robust_outexpander(CYCLE3, Fraction(1, 3), Fraction(1, 3), "sampled", -1),
+        lambda: make_expander_checker(sample_budget=-1),
+    ],
+    ids=["is_robust_outexpander", "make_expander_checker"],
+)
+def test_negative_sample_budgets_are_rejected(check):
+    with pytest.raises(ValueError, match="sample budget must be at least 0, got -1"):
+        check()
+
+
 # Reference: the one-subset-at-a-time Gray walk that the bit-parallel sweep
 # replaced.  Every split and digest depends on the exact verdict, witness
 # and sample count, so the sweep must reproduce all three.

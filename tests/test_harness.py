@@ -599,7 +599,7 @@ def test_cli_empty_sampled_or_workerless_campaigns_exit_with_two(flags, capsys):
 
 
 # Malformed numbers in flags, each an input error rather than a traceback
-# or a suite failure; "{host}" stands for a valid tournament file.
+# or a suite failure; "{host}" and "{tree}" stand for valid input files.
 _MALFORMED_NUMBERS = [
     (("decompose", "--tournament", "{host}", "--mu", "1/0"), "cannot interpret '1/0'"),
     (("props", "--scale", "inf"), "scale must be finite and positive"),
@@ -608,6 +608,18 @@ _MALFORMED_NUMBERS = [
     (
         ("verify-sharpness", "--near-extremal", "6,2,1"),
         "entry '6,2,1' is not of the form n,path_len",
+    ),
+    (
+        ("embed", "--tree", "{tree}", "--tournament", "{host}", "--budget", "-5"),
+        "node budget must be at least 1, got -5",
+    ),
+    (
+        ("embed", "--tree", "{tree}", "--tournament", "{host}", "--budget", "0"),
+        "node budget must be at least 1, got 0",
+    ),
+    (
+        ("decompose", "--tournament", "{host}", "--sample-budget", "-1"),
+        "sample budget must be at least 0, got -1",
     ),
 ]
 
@@ -620,7 +632,11 @@ _MALFORMED_NUMBERS = [
 def test_cli_malformed_numbers_exit_with_two(argv, message, tmp_path, capsys):
     host_file = tmp_path / "g.trn"
     host_file.write_text(write_tournament(transitive_tournament(6)))
-    code, out, err = run_cli(capsys, *(a.format(host=host_file) for a in argv))
+    tree_file = tmp_path / "t.tree"
+    tree_file.write_text(write_tree(inward_star(3)))
+    code, out, err = run_cli(
+        capsys, *(a.format(host=host_file, tree=tree_file) for a in argv)
+    )
     assert (code, out) == (2, "")
     assert err.startswith("treetour: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -721,3 +737,95 @@ def test_running_the_package_loads_every_module():
         "treetour.__main__",
     }
     assert sorted(modules - loaded) == []
+
+
+# Each program below runs in a new interpreter, prints one JSON value last,
+# and may call ``loaded(*prefixes)``: the sorted loaded module names that
+# start with one of the prefixes.
+_LOADED = (
+    "import json, sys\n"
+    "def loaded(*prefixes):\n"
+    "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+)
+
+
+def _fresh_run(program: str):
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED + program],
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert _fresh_run("import treetour\nprint(json.dumps(loaded('treetour.')))") == []
+
+
+def test_only_pooled_campaigns_load_the_process_pool():
+    program = (
+        "import treetour\n"
+        "from treetour.reports import reports_to_jsonl, summary_to_json\n"
+        "def text(campaign):\n"
+        "    reports, summary = campaign\n"
+        "    return (reports_to_jsonl(reports, include_timing=False)\n"
+        "            + summary_to_json(summary, include_timing=False))\n"
+        "treetour.verify_sumner(3)\n"
+        "serial = text(treetour.verify_sumner(4, 'iso', 'iso', workers=1))\n"
+        "pool_after_serial = loaded('concurrent', 'multiprocessing')\n"
+        "pooled = text(treetour.verify_sumner(4, 'iso', 'iso', workers=2))\n"
+        "print(json.dumps([pool_after_serial, serial == pooled,\n"
+        "                  'concurrent.futures' in sys.modules]))\n"
+    )
+    assert _fresh_run(program) == [[], True, True]
+
+
+def test_a_decomposition_loads_neither_campaigns_nor_property_suites():
+    program = (
+        "from fractions import Fraction\n"
+        "import treetour\n"
+        "G = treetour.rotational_regular_tournament(9)\n"
+        "mu, eta, gamma = Fraction(1, 20), Fraction(1, 50), Fraction(1, 5)\n"
+        "split = treetour.tournament_split(G, mu, mu, eta, gamma)\n"
+        "print(json.dumps([split.classification, loaded('treetour.')]))\n"
+    )
+    classification, modules = _fresh_run(program)
+    assert classification == ["expander"]
+    assert "treetour.expansion" in modules
+    assert "treetour.reports" not in modules and "treetour.props" not in modules
+
+
+def test_star_import_binds_and_caches_every_export():
+    program = (
+        "import treetour\n"
+        "exports = treetour.__all__\n"
+        "before = sorted(set(exports) & set(vars(treetour)))\n"
+        "from treetour import *\n"
+        "print(json.dumps([\n"
+        "    before,\n"
+        "    [name for name in exports if name not in globals()],\n"
+        "    [name for name in exports if name not in vars(treetour)],\n"
+        "    [name for name in exports if name not in dir(treetour)],\n"
+        "]))\n"
+    )
+    assert _fresh_run(program) == [["__version__"], [], [], []]
+
+
+def test_submodules_resolve_as_attributes_and_unknown_names_do_not():
+    program = (
+        "import treetour\n"
+        "search = treetour.search\n"
+        "try:\n"
+        "    treetour.no_such_export\n"
+        "    error = None\n"
+        "except AttributeError as exc:\n"
+        "    error = str(exc)\n"
+        "print(json.dumps([search is sys.modules['treetour.search'], error]))\n"
+    )
+    assert _fresh_run(program) == [
+        True,
+        "module 'treetour' has no attribute 'no_such_export'",
+    ]

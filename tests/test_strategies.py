@@ -253,3 +253,12 @@ def test_portfolio_config_budget_is_honoured():
     assert out.verdict == "budget_exhausted"
     assert out.embedding is None
     assert "exhaustive: node budget exhausted" in out.notes
+
+
+@pytest.mark.parametrize("embed", [exhaustive_embed, portfolio_embed])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budgets_below_one_are_rejected(embed, budget):
+    # The portfolio would settle this pair on a Redei path, before any node.
+    message = f"node budget must be at least 1, got {budget}"
+    with pytest.raises(ValueError, match=message):
+        embed(directed_path(3), transitive_tournament(4), node_budget=budget)
