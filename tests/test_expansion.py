@@ -236,6 +236,7 @@ def _transitive_blow_up(n, blocks, seed):
 
 SWEEP_PARAMETERS = [
     (Fraction(1, 20), Fraction(1, 20)),
+    (Fraction(1, 20), Fraction(1, 5)),
     (Fraction(1, 10), Fraction(1, 5)),
     (Fraction(1, 4), Fraction(1, 10)),
     (Fraction(1, 3), Fraction(1, 3)),
@@ -257,18 +258,33 @@ def _sweep_hosts():
             yield G.reverse()
 
 
-def test_exact_sweep_matches_the_reference_walk():
+def _spy_on_routes(monkeypatch):
+    """Patch both ⌈μn⌉ = 1 routes to record their name in the list
+    returned; a check that only sweeps leaves it empty."""
+    taken = []
+    for name, route in (("matching", "_matching_failing_set"),
+                        ("search", "_failing_set_search")):
+        def spy(*args, name=name, found=getattr(expansion, route)):
+            taken.append(name)
+            return found(*args)
+        monkeypatch.setattr(expansion, route, spy)
+    return taken
+
+
+def test_exact_sweep_matches_the_reference_walk(monkeypatch):
     tally = {"small": 0, "expander": 0, "refuted": 0, "later block": 0, "empty": 0}
-    # (n, status) of the verdicts that run the failing-set search first
-    searched = set()
+    # (route, n, status) of the verdicts that a ⌈μn⌉ = 1 route decides
+    routed = set()
+    taken = _spy_on_routes(monkeypatch)
     for G in _sweep_hosts():
         n = G.n
         for mu, nu in SWEEP_PARAMETERS:
+            taken.clear()
             got = is_robust_outexpander(G, mu, nu, "exact")
             assert got == _reference_exact_sweep(G, mu, nu), (n, mu, nu)
             tally["small" if n <= 12 else "expander" if got.is_expander else "refuted"] += 1
-            if n >= expansion._SEARCH_MIN_N and math.ceil(mu * n) == 1:
-                searched.add((n, got.status))
+            if taken:
+                routed.add((*taken, n, got.status))
             if got.is_expander:
                 # every in-window subset was examined: a closed-form recount
                 lo = math.ceil(nu * n)
@@ -281,10 +297,16 @@ def test_exact_sweep_matches_the_reference_walk():
     # past the first block
     assert tally["small"] and tally["expander"] and tally["refuted"] and tally["empty"]
     assert tally["later block"] >= 5, tally
-    # both verdicts after the search, at every size it runs at
-    assert searched == {
-        (n, status) for n in range(16, 21) for status in (EXPANDER, NOT_EXPANDER)
+    # Both verdicts on both routes: after the search at every size it runs
+    # at, after the matching at every size from 2 on, on either lane layout.
+    both = {EXPANDER, NOT_EXPANDER}
+    assert {r for r in routed if r[0] == "search"} == {
+        ("search", n, status) for n in range(16, 21) for status in both
     }
+    matched = {(n, status) for route, n, status in routed if route == "matching"}
+    assert {n for n, _ in matched} == set(range(2, 21))
+    assert {status for n, status in matched if n <= 12} == both
+    assert {status for n, status in matched if n > 12} == both
 
 
 def _visited_block_shapes(G, mu, nu, verdict):
@@ -393,15 +415,156 @@ def test_failing_set_search_agrees_with_the_reference_walk():
 def test_failing_set_search_is_checked_by_the_sweep(monkeypatch, lie, message):
     """rotational_regular_tournament(17) is an expander: a search that
     names a failing set is caught by the recount, and one whose set also
-    passes the recount is caught by the sweep."""
+    passes the recount is caught by the sweep.  ν = 1/5 gives the partial
+    window 4 ≤ |S| ≤ 13, where the search runs."""
     G = rotational_regular_tournament(17)
-    mu, nu = Fraction(1, 20), Fraction(1, 20)
+    mu, nu = Fraction(1, 20), Fraction(1, 5)
     assert is_robust_outexpander(G, mu, nu, "exact").is_expander
-    monkeypatch.setattr(expansion, "_failing_set_search", lambda G, lo, hi: 0b111)
+    monkeypatch.setattr(expansion, "_failing_set_search", lambda G, lo, hi: 0b1111)
     if lie == "search and recount":
         monkeypatch.setattr(expansion, "_witness_fails", lambda G, S, mu, nu: True)
-    with pytest.raises(GraphDefectError, match=message):
+    with pytest.raises(GraphDefectError, match=f"^the failing-set search .*{message}"):
         is_robust_outexpander(G, mu, nu, "exact")
+
+
+@pytest.mark.parametrize(
+    "lie, message",
+    [("matching", "named a set that expands"), ("matching and recount", "the sweep missed")],
+)
+@pytest.mark.parametrize("n", [5, 17])
+def test_matching_route_is_checked_by_the_sweep(monkeypatch, n, lie, message):
+    """The same two lies over the full window 1 ≤ |S| ≤ n − 1 of the
+    rotational expanders on 5 and 17 vertices, where the matching runs."""
+    G = rotational_regular_tournament(n)
+    mu, nu = Fraction(1, 20), Fraction(1, 20)
+    assert is_robust_outexpander(G, mu, nu, "exact").is_expander
+    monkeypatch.setattr(expansion, "_matching_failing_set", lambda G: 0b111)
+    if lie == "matching and recount":
+        monkeypatch.setattr(expansion, "_witness_fails", lambda G, S, mu, nu: True)
+    with pytest.raises(GraphDefectError, match=f"^the matching .*{message}"):
+        is_robust_outexpander(G, mu, nu, "exact")
+
+
+def _flipped_transitive(n, share, seed):
+    """transitive_tournament(n) with each arc reversed by a seeded coin
+    that comes up with probability ``share``."""
+    rng = random.Random(seed)
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            arcs.append((v, u) if rng.random() < share else (u, v))
+    return Tournament.from_arcs(n, arcs)
+
+
+def _matching_hosts():
+    """Seeded hosts of 7 to 20 vertices: random, rotational, transitive,
+    planted in both orientations and arc-flipped transitive."""
+    for n in range(7, 21):
+        for seed in range(3):
+            yield random_tournament(n, seed=400 + 10 * n + seed)
+        yield transitive_tournament(n)
+        if n % 2:
+            yield rotational_regular_tournament(n)
+        G = _transitive_blow_up(n, 2 + n % 2, 500 + n)
+        yield G
+        yield G.reverse()
+        for share in (0.1, 0.25, 0.4):
+            yield _flipped_transitive(n, share, int(600 + 100 * share + n))
+
+
+def test_matching_route_agrees_with_the_reference_walk():
+    """Over the full window at ⌈μn⌉ = 1 the matching names a failing set,
+    which the recount confirms, exactly when the walk refutes: on every
+    labelled tournament on 2 to 6 vertices and on the seeded hosts of 7 to
+    20 vertices.  Past 14 vertices the walk of an expander takes about a
+    second, so the sweep, which the walk pins above, stands in for it."""
+    mu = nu = Fraction(1, 20)
+    seen = set()
+    enumerated = (G for n in range(2, 7) for G in enumerate_tournaments(n))
+    for hosts, large in ((enumerated, False), (_matching_hosts(), True)):
+        for G in hosts:
+            walk = _reference_exact_sweep if G.n <= 14 else expansion._gray_sweep
+            refuted = walk(G, mu, nu).status == NOT_EXPANDER
+            S = expansion._matching_failing_set(G)
+            assert (S is not None) == refuted, G.out_rows
+            assert S is None or expansion._witness_fails(G, S, mu, nu), G.out_rows
+            seen.add((large, refuted))
+    # both answers among the enumerated and among the larger hosts
+    assert len(seen) == 4
+
+
+def _parent_exact_expander_sweep(G, mu, nu):
+    """The exact check before the matching route, verbatim but for the
+    module-qualified names: the failing-set search at ⌈μn⌉ = 1 and
+    n ≥ 16, the sweep everywhere else."""
+    n = G.n
+    lo, hi = expansion._size_window(n, nu)
+    if expansion._ceil(mu * n) != 1 or n < expansion._SEARCH_MIN_N or lo > hi:
+        return expansion._gray_sweep(G, mu, nu)
+    S = expansion._failing_set_search(G, lo, hi)
+    if S is None:
+        samples = sum(math.comb(n, s) for s in range(lo, hi + 1))
+        return ExpanderVerdict(EXPANDER, "exact", mu, nu, samples=samples)
+    if not expansion._witness_fails(G, S, mu, nu):
+        raise GraphDefectError("the failing-set search named a set that expands")
+    verdict = expansion._gray_sweep(G, mu, nu)
+    if verdict.status != NOT_EXPANDER:
+        raise GraphDefectError(
+            "the failing-set search found a failing set the sweep missed"
+        )
+    return verdict
+
+
+def test_exact_verdicts_equal_those_of_the_parent_routes():
+    """Status, witness and sample count, over a μ/ν grid that takes every
+    route: the matching (full windows at ⌈μn⌉ = 1), the search (partial
+    windows from 16 vertices), and the sweep."""
+    grid = [(Fraction(1, m), Fraction(1, v)) for m in (40, 20, 10) for v in (20, 10, 5, 3)]
+    hosts = [random_tournament(n, seed=700 + n) for n in range(2, 7)]
+    hosts += _matching_hosts()
+    statuses = set()
+    for G in hosts:
+        for mu, nu in grid:
+            got = is_robust_outexpander(G, mu, nu, "exact")
+            assert got == _parent_exact_expander_sweep(G, mu, nu), (G.out_rows, mu, nu)
+            statuses.add(got.status)
+    assert statuses == {EXPANDER, NOT_EXPANDER}
+
+
+def _gray_first_walk(k, flip, window, below):
+    """The step-by-step walk that located the Gray-first lane, verbatim."""
+    in_window = format(window, f"0{1 << k}b")[::-1]
+    violating = format(below, f"0{1 << k}b")[::-1]
+    checked = 0
+    for l in range(1 << k):
+        m = l ^ (l >> 1) ^ flip
+        if in_window[m] == "1":
+            checked += 1
+            if violating[m] == "1":
+                break
+    return m, checked
+
+
+def test_gray_first_lane_matches_the_step_walk():
+    """Random block widths, flips and windows; ``below`` holds one lane,
+    a sparse set or a dense one, and the window is full or random."""
+    rng = random.Random(19)
+    cases = 0
+    while cases < 1500:
+        k = rng.randint(1, 12)
+        flip = rng.randrange(2) << (k - 1)
+        every = full_mask(1 << k)
+        window = every if rng.random() < 0.3 else rng.getrandbits(1 << k)
+        below = window & rng.getrandbits(1 << k)
+        for _ in range(rng.randrange(4)):
+            below &= rng.getrandbits(1 << k)
+        if rng.random() < 0.4:
+            below &= -below
+        if below:
+            assert expansion._gray_first(k, flip, window, below) == _gray_first_walk(
+                k, flip, window, below
+            ), (k, flip)
+            cases += 1
 
 
 def test_offset_planes_reach_the_top_plane_exactly_at_the_target():
@@ -871,6 +1034,52 @@ def test_regime_failures_are_typed_and_not_defects():
             Fraction(1, 20), Fraction(1, 20), Fraction(1, 50), Fraction(1, 5),
         )
     assert info.value.postcondition == "coverage"
+
+
+def test_small_hosts_at_the_cli_defaults_end_in_a_split_or_a_regime():
+    """A vertex is deleted only above ⌈√η·n⌉ bad arcs, which at the CLI
+    defaults exceeds the ⌊γ·n⌋ back arcs the ordering allows for n = 1..4,
+    8 and 9: there too many back arcs are a regime, never a defect."""
+    back_arcs = []
+    for n in range(1, 13):
+        for s in range(10):
+            try:
+                tournament_split(random_tournament(n, s), *CLI_SPLIT_PARAMETERS)
+            except SplitRegimeError as error:
+                if error.postcondition == "back_arcs":
+                    back_arcs.append(n)
+    assert back_arcs == [3] * 4 + [4] * 4 + [8] * 3
+
+
+@pytest.mark.parametrize(
+    "n, order, raised, message",
+    [
+        (3, [[1], [0], [2]], SplitRegimeError, "in-neighbours in later"),
+        (8, [[1], [2], [0], range(3, 8)], SplitRegimeError, "out-neighbours in earlier"),
+        (10, [[v] for v in range(9, -1, -1)], GraphDefectError, "in-neighbours in later"),
+        (10, [[1], [2], [3], [0], range(4, 10)], GraphDefectError, "out-neighbours in earlier"),
+    ],
+)
+def test_too_many_back_arcs_are_a_defect_unless_rounding_allows_them(n, order, raised, message):
+    """Hand-built orderings of transitive_tournament(n) with a vertex past
+    ⌊γ·n⌋ back arcs: a regime where ⌈√η·n⌉ > ⌊γ·n⌋ (n = 3 and 8), a
+    defect where it is not (n = 10, ⌈√η·n⌉ = ⌊γ·n⌋ = 2)."""
+    pieces = tuple(mask_of(p) for p in order)
+    result = expansion.SplitResult(
+        pieces=pieces,
+        classification=(UNKNOWN,) * len(pieces),
+        verdicts=(None,) * len(pieces),
+        bad_edges=frozenset(),
+        deleted=0,
+        mu=Fraction(1, 20),
+        nu=Fraction(1, 20),
+        eta=Fraction(1, 50),
+        gamma=Fraction(1, 5),
+    )
+    with pytest.raises(raised, match=message) as info:
+        expansion._verify_split(transitive_tournament(n), result)
+    if raised is SplitRegimeError:
+        assert info.value.postcondition == "back_arcs"
 
 
 def test_a_false_expander_classification_is_still_a_defect():
