@@ -79,21 +79,18 @@ def portfolio_embed(
     Each embedding is validated once: the greedy, outbranching and
     exhaustive stages check their own maps and raise
     :class:`GraphDefectError` on an invalid one, and the Rédei-path map,
-    built here, is checked here.  Campaigns re-check independently.
-    A ``node_budget`` below 1 is a ValueError.
+    built here, is checked here.  Campaigns check every embedding once
+    more, with the same :func:`~treetour.graphs.is_valid_embedding`, so
+    that re-check is not independent of these stages; a checker that
+    shares no code with them is ROADMAP item 12.  A ``node_budget``
+    below 1 is a ValueError.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
-    notes: list[str] = []
-    nodes = 0
     if T.n > G.n:
         return EmbedOutcome(
             NOT_FOUND, None, 0, "portfolio", ("host smaller than tree",)
         )
-
-    def won(phi: dict[int, int], stage: str) -> EmbedOutcome:
-        notes.append(f"found by {stage}")
-        return EmbedOutcome(FOUND, phi, nodes, f"portfolio/{stage}", tuple(notes))
 
     path = directed_path_order(T)
     if path is not None:
@@ -101,14 +98,18 @@ def portfolio_embed(
         phi = {path[i]: spine[i] for i in range(T.n)}
         if not is_valid_embedding(T, G, phi):
             raise GraphDefectError("portfolio stage redei-path produced an invalid map")
-        return won(phi, "redei-path")
+        return EmbedOutcome(FOUND, phi, 0, "portfolio/redei-path", ("found by redei-path",))
 
+    # Every stage builds a fresh map, so a win keeps it, uncopied.
     out = greedy_embed(T, G)
-    nodes += out.nodes
+    nodes = out.nodes
     if out.found:
-        assert out.embedding is not None
-        return won(dict(out.embedding), "greedy")
-    notes.append("greedy: no admissible completion")
+        return EmbedOutcome(FOUND, out.embedding, nodes, "portfolio/greedy", ("found by greedy",))
+    notes = ["greedy: no admissible completion"]
+
+    def won(phi: dict[int, int] | None, stage: str) -> EmbedOutcome:
+        notes.append(f"found by {stage}")
+        return EmbedOutcome(FOUND, phi, nodes, f"portfolio/{stage}", tuple(notes))
 
     if G.n >= 2 * T.n - 2:
         if T.is_outbranching():
@@ -120,16 +121,14 @@ def portfolio_embed(
         if ob is not None:
             nodes += ob.nodes
             if ob.found:
-                assert ob.embedding is not None
-                return won(dict(ob.embedding), stage)
+                return won(ob.embedding, stage)
             notes.append(f"{stage}: failed")
 
     if G.n <= EXHAUSTIVE_MAX_N:
         full = exhaustive_embed(T, G, node_budget=node_budget)
         nodes += full.nodes
         if full.found:
-            assert full.embedding is not None
-            return won(dict(full.embedding), "exhaustive")
+            return won(full.embedding, "exhaustive")
         if full.verdict == NOT_FOUND:
             notes.append("exhaustive search completed: no embedding exists")
             return EmbedOutcome(NOT_FOUND, None, nodes, "portfolio", tuple(notes))

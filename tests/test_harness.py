@@ -10,7 +10,9 @@ a nonzero exit code.
 import ast
 import importlib
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -34,12 +36,11 @@ from treetour import (
     verify_sharpness,
     verify_sumner,
 )
-from treetour import cli, reports
+from treetour import cli, formats, reports
 from treetour.cli import main
 from treetour.formats import write_tournament, write_tree
 from treetour.generate import (
     directed_path,
-    enumerate_oriented_trees,
     inward_star,
     random_oriented_tree,
     random_tournament,
@@ -118,39 +119,48 @@ def test_multi_tree_campaign_is_worker_count_invariant():
 
 
 def test_campaign_parses_each_text_once_and_plans_each_tree_once(monkeypatch):
-    calls = {"tree": Counter(), "host": Counter(), "plan": Counter()}
+    calls = {"text": Counter(), "tree": Counter(), "host": Counter(), "plan": Counter()}
 
     def counted(fn, kind, key):
-        def wrapper(arg, *rest):
-            calls[kind][key(arg)] += 1
-            return fn(arg, *rest)
+        def wrapper(*args):
+            calls[kind][key(*args)] += 1
+            return fn(*args)
         return wrapper
 
     # Empty the process's tree store: an earlier campaign over the same
-    # trees would otherwise leave them parsed and planned.
-    monkeypatch.setattr(reports, "_chunk_trees", {})
-    monkeypatch.setattr(reports, "parse_tree", counted(reports.parse_tree, "tree", str))
+    # trees would otherwise leave them built and planned.
+    monkeypatch.setattr(reports, "_tree_store", {})
+    monkeypatch.setattr(formats, "parse_tree", counted(formats.parse_tree, "text", str))
     monkeypatch.setattr(
-        reports, "parse_tournament", counted(reports.parse_tournament, "host", str)
+        formats, "parse_tournament", counted(formats.parse_tournament, "text", str)
+    )
+    monkeypatch.setattr(
+        reports,
+        "random_oriented_tree",
+        counted(reports.random_oriented_tree, "tree", lambda n, seed: seed),
+    )
+    monkeypatch.setattr(
+        reports,
+        "random_tournament",
+        counted(reports.random_tournament, "host", lambda n, seed: seed),
     )
     # A search plan is rooted at the tree's first centroid, so centroid calls
-    # count plan builds.  The isomorphism keys of the tree enumeration call
-    # it too; enumerating first leaves only the campaign's plans to count.
-    list(enumerate_oriented_trees(5))
+    # count plan builds.
     monkeypatch.setattr(
         DirectedTree, "centroids", counted(DirectedTree.centroids, "plan", write_tree)
     )
-    runs = [verify_sumner(5, ("sample", 3, 0), "iso") for _ in range(2)]
+    runs = [verify_sumner(5, ("sample", 3, 0), ("sample", 9, 0)) for _ in range(2)]
     for _, summary in runs:
-        assert summary.total == 81 and summary.all_ok
-    # Trees are compiled once per process, hosts once per call.
-    assert len(calls["tree"]) == 27 and set(calls["tree"].values()) == {1}
-    assert len(calls["host"]) == 3 and set(calls["host"].values()) == {2}
-    # Every tree but the directed path (placed along a Redei path, with no
+        assert summary.total == 27 and summary.all_ok
+    # The campaign's pools come straight from the generators: no text.
+    assert calls["text"] == Counter()
+    # Trees are built once per process, hosts once per call.
+    assert calls["tree"] == Counter({seed: 1 for seed in range(9)})
+    assert calls["host"] == Counter({seed: 2 for seed in range(3)})
+    # Every tree but a directed path (placed along a Redei path, with no
     # search plan) gets exactly one plan, however many hosts and calls it
     # meets.
-    assert set(calls["plan"]) <= set(calls["tree"])
-    assert len(calls["plan"]) == 26 and set(calls["plan"].values()) == {1}
+    assert 0 < len(calls["plan"]) <= 9 and set(calls["plan"].values()) == {1}
     (first, first_summary), (second, second_summary) = runs
     assert reports_to_jsonl(first, include_timing=False) == reports_to_jsonl(
         second, include_timing=False
@@ -158,6 +168,24 @@ def test_campaign_parses_each_text_once_and_plans_each_tree_once(monkeypatch):
     assert summary_to_json(first_summary, include_timing=False) == summary_to_json(
         second_summary, include_timing=False
     )
+    # Text tasks: each distinct tree text is parsed once per process, each
+    # distinct host text once per call.
+    calls["plan"].clear()
+    tasks = [
+        ("portfolio", f"{i}", "found", write_tree(T), write_tournament(G), None)
+        for i, (T, G) in enumerate(
+            (T, random_tournament(8, s))
+            for T in (random_oriented_tree(5, 1), random_oriented_tree(5, 2))
+            for s in (1, 2, 1)
+        )
+    ]
+    for _ in range(2):
+        out, summary = run_campaign(tasks)
+        assert summary.total == 6 and summary.all_ok
+    trees = {task[3] for task in tasks}
+    hosts = {task[4] for task in tasks}
+    assert calls["text"] == Counter({**{t: 1 for t in trees}, **{g: 2 for g in hosts}})
+    assert set(calls["plan"].values()) <= {1}
 
 
 def test_malformed_tree_text_raises_on_every_call():
@@ -167,18 +195,83 @@ def test_malformed_tree_text_raises_on_every_call():
     for tasks in ([bad], [bad], [good, bad], [good, bad], [bad]):
         with pytest.raises(ParseError, match="line 3: duplicate edge between 1 and 0"):
             run_campaign(tasks)
-    assert bad[3] not in reports._chunk_trees
+    assert bad[3] not in reports._tree_store
     out, summary = run_campaign([good])
     assert summary.all_ok and out[0].verdict == "found"
+    # The store holds the trees of the last campaign and no others.
+    assert list(reports._tree_store) == [good[3]]
+
+
+def _invalid_search(T, G, config=None):
+    return EmbedOutcome("found", {v: 0 for v in range(T.n)}, 0, "portfolio/greedy")
 
 
 def test_campaign_rechecks_every_embedding(monkeypatch):
-    def wrong(T, G, config=None):
-        return EmbedOutcome("found", {v: 0 for v in range(T.n)}, 0, "portfolio/greedy")
-
-    monkeypatch.setattr(reports, "portfolio_embed", wrong)
-    with pytest.raises(GraphDefectError, match="produced an invalid embedding"):
+    monkeypatch.setattr(reports, "portfolio_embed", _invalid_search)
+    with pytest.raises(
+        GraphDefectError, match="campaign task path3-into-t4 produced an invalid embedding"
+    ):
         run_campaign(sample_tasks()[:1])
+
+
+def test_pooled_recheck_names_the_task(monkeypatch):
+    # Forked workers inherit the patched search; spawned ones would not.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers do not inherit the patched search")
+    monkeypatch.setattr(reports, "portfolio_embed", _invalid_search)
+    with pytest.raises(
+        GraphDefectError, match="campaign task path3-into-t4 produced an invalid embedding"
+    ):
+        run_campaign(sample_tasks(), workers=2)
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda workers: verify_sumner(3, workers=workers),
+        lambda workers: verify_sumner(
+            6, ("sample", 3, 5), ("sample", 3, 9), workers=workers
+        ),
+        lambda workers: verify_sharpness(range(3, 7), workers=workers),
+    ],
+    ids=["exhaustive-hosts", "sampled-hosts-and-trees", "sharpness"],
+)
+def test_campaign_sources_are_worker_count_invariant(campaign):
+    serial, serial_summary = campaign(1)
+    pooled, pooled_summary = campaign(2)
+    assert serial_summary.total > 1 and serial_summary.all_ok
+    assert reports_to_jsonl(serial, include_timing=False) == reports_to_jsonl(
+        pooled, include_timing=False
+    )
+    assert summary_to_json(serial_summary, include_timing=False) == summary_to_json(
+        pooled_summary, include_timing=False
+    )
+
+
+def test_pool_slices_carry_index_ranges_and_packed_records(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def spy(pool, fn, *args):
+        future = submit(pool, fn, *args)
+        submitted.append((fn, args, future))
+        return future
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    out, summary = verify_sumner(4, "iso", "iso", workers=2)
+    assert summary.total == 448 and summary.all_ok
+    assert len(submitted) > 2
+    bounds = [args for fn, args, _ in submitted]
+    assert all(fn is reports._run_range for fn, _, _ in submitted)
+    assert all(type(lo) is int and type(hi) is int and lo < hi for lo, hi in bounds)
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == 448
+    for _, _, future in submitted:
+        record = pickle.dumps(future.result())
+        assert b"InstanceReport" not in record
+        assert b"sumner:" not in record and b"tournament" not in record
 
 
 def test_unknown_task_kind_is_an_error():
