@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 from importlib import import_module
 
-# Each export and the module that defines it.
+# Each export and the module that defines it; ``__all__`` is read from it.
 _HOMES = {
     "DirectedTree": "graphs",
     "GraphDefectError": "graphs",
@@ -80,7 +80,6 @@ _HOMES = {
     "tournament_split": "expansion",
     "CampaignSummary": "reports",
     "InstanceReport": "reports",
-    "run_campaign": "reports",
     "verify_sharpness": "reports",
     "verify_sumner": "reports",
     "PropertyConfig": "props",
@@ -90,72 +89,7 @@ _HOMES = {
     "shrink_tree": "props",
 }
 
-__all__ = [
-    "__version__",
-    # graphs
-    "DirectedTree",
-    "GraphDefectError",
-    "ParseError",
-    "PartialMapError",
-    "Tournament",
-    "as_fraction",
-    "canonical_form",
-    "degrees",
-    "directed_edge_count",
-    "is_valid_embedding",
-    # formats
-    "parse_tournament",
-    "parse_tree",
-    "write_tournament",
-    "write_tree",
-    # weights
-    "CoreTree",
-    "WeightProfile",
-    "core_tree",
-    "weight_profile",
-    # search
-    "EmbedOutcome",
-    "embed_outbranching",
-    "exhaustive_embed",
-    "forward_arc_count",
-    "greedy_embed",
-    "median_order",
-    "redei_path",
-    # generate
-    "enumerate_oriented_trees",
-    "enumerate_tournaments",
-    "inward_star",
-    "near_extremal_pair",
-    "random_oriented_tree",
-    "random_tournament",
-    "rotational_regular_tournament",
-    "stream",
-    "transitive_tournament",
-    # strategies
-    "portfolio_embed",
-    # expansion
-    "ExpanderVerdict",
-    "SplitResult",
-    "SplitRegimeError",
-    "SplitSearchExhausted",
-    "is_robust_outexpander",
-    "make_expander_checker",
-    "non_expander_split",
-    "robust_out_neighbourhood",
-    "tournament_split",
-    # reports
-    "CampaignSummary",
-    "InstanceReport",
-    "run_campaign",
-    "verify_sharpness",
-    "verify_sumner",
-    # props
-    "PropertyConfig",
-    "available_suites",
-    "run_property_suites",
-    "shrink_tournament",
-    "shrink_tree",
-]
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):

@@ -1,26 +1,26 @@
 """Batch verification campaigns with deterministic, machine-readable output.
 
-A campaign runs over two pools, its trees and its tournaments as objects,
-and each task names a tree and a host of them by index.  The stock
-campaigns take their pools straight from the generators;
-:func:`run_campaign` takes tasks in portable text and parses each distinct
-text once into the pools.  A tree's search plan is built once per process,
-since later campaigns over the same trees reuse them.  A serial campaign
-builds each :class:`InstanceReport` as its task ends.  A pooled one hands
-each worker the pools once and then contiguous index ranges only; workers
-return packed records (distinct outcomes and, per task, an index into them
-and the elapsed time), which the parent expands into reports in task order
-as slices arrive.  So output is identical regardless of scheduling;
-reports serialize to JSON lines, and all but wall-clock timing is a
-function of configuration and seeds.  On a shared 2-CPU x86 host,
-``verify_sumner(4)`` (262,144 tasks) takes 5.0 s serially and 2.6-3.2 s
+A campaign runs one embed function over two pools, its trees and its
+tournaments as objects taken straight from the generators, and each task
+names a tree and a host of them by index.  A tree's search plan is built
+once per process, since later campaigns over the same trees reuse them.
+There is one runner: a loop over a contiguous index range that returns
+packed records (distinct outcomes and, per task, an index into them and
+the elapsed time), which the parent expands into
+:class:`InstanceReport` objects in task order.  A serial campaign runs it
+once over every task in process; a pooled one hands each worker the pools
+once and then index ranges only, and expands the slices as they arrive.
+So output is identical at any worker count by construction; reports
+serialize to JSON lines, and all but wall-clock timing is a function of
+configuration and seeds.  On a shared 2-CPU x86 host,
+``verify_sumner(4)`` (262,144 tasks) takes 4.4-4.6 s serially and 2.9-3.1 s
 with two workers, and a repeated ``verify_sumner(5, "iso", "iso")``
-(185,760 tasks) 3.3-3.8 s and 1.8-2.6 s (medians of two series of five
-alternating runs); with hosts sent through text and reports pickled
-back, two workers took 7.7 s and 4.9 s against 7.1 s and 3.8 s serially
+(185,760 tasks) 3.3 s and 2.2 s (medians of series of five alternating
+runs); with hosts sent through text and reports pickled back, two
+workers took 7.7 s and 4.9 s against 7.1 s and 3.8 s serially
 (``BENCH_20.json``).
 
-The two stock campaigns:
+There are two ways in, one per campaign:
 
 * :func:`verify_sumner` — embed every oriented tree on ``n`` vertices
   into every tournament on ``2n−2`` vertices (exhaustive labelled, up to
@@ -55,7 +55,6 @@ from .strategies import portfolio_embed
 __all__ = [
     "InstanceReport",
     "CampaignSummary",
-    "run_campaign",
     "verify_sumner",
     "verify_sharpness",
     "reports_to_jsonl",
@@ -113,83 +112,41 @@ class CampaignSummary:
 
 
 # ---------------------------------------------------------------------------
-# Task execution.  A campaign runs over two pools, its trees and its
-# tournaments as objects; a task is a tuple (kind, descriptor, expectation,
-# tree index, host index, seed).  A tree keeps its search plan
-# (``DirectedTree.plan``), so trees are compiled once per process: the
-# enumerated trees are cached by :mod:`treetour.generate`, and
-# ``_tree_store`` holds the sampled or parsed trees of the last campaign run
-# in this process, by key (a text, or ``(n, seed)``).  Each campaign starts
-# from them and then replaces them with its own, so the store never outgrows
-# one campaign's trees, and a text that fails to parse is never stored.
+# Task execution.  A task is a tuple (descriptor, tree index, host index,
+# seed).  A tree keeps its search plan (``DirectedTree.plan``), so trees are
+# compiled once per process: the enumerated trees are cached by
+# :mod:`treetour.generate`, and ``_tree_store`` holds the sampled trees of
+# the last campaign run in this process, by ``(n, seed)``, so it never
+# outgrows one campaign's trees.  ``_run_range`` reads the pools bound by
+# ``_bind``: in process for a serial campaign, by each worker's initializer
+# for a pooled one.  Its distinct outcomes are (verdict, strategy, embedding
+# images in tree-vertex order) triples.
 
-_KINDS = ("portfolio", "exhaustive")
 # Small slices let the parent expand the first ones while the workers run
 # the rest, and leave a short tail once the last one is handed out.
 _SLICES_PER_WORKER = 16
 
-_tree_store: dict[object, DirectedTree] = {}
-
-
-def _stored_trees(keys, build) -> list[DirectedTree]:
-    """The trees of the distinct ``keys``: stored ones, else ``build(key)``."""
-    global _tree_store
-    known = _tree_store
-    trees = {key: known[key] if key in known else build(key) for key in keys}
-    _tree_store = trees
-    return list(trees.values())
-
-
-def _defect(descriptor: str) -> GraphDefectError:
-    return GraphDefectError(f"campaign task {descriptor} produced an invalid embedding")
-
-
-def _run_serial(trees, hosts, tasks) -> list[InstanceReport]:
-    reports = []
-    for kind, descriptor, expect, t, g, seed in tasks:
-        T, G = trees[t], hosts[g]
-        start = time.perf_counter()
-        outcome = portfolio_embed(T, G) if kind == "portfolio" else exhaustive_embed(T, G)
-        elapsed = time.perf_counter() - start
-        embedding = outcome.embedding
-        if embedding is not None:
-            if not is_valid_embedding(T, G, embedding):
-                raise _defect(descriptor)
-            embedding = tuple(sorted(embedding.items()))
-        verdict = outcome.verdict
-        strategy = outcome.strategy if verdict == FOUND else None
-        reports.append(InstanceReport(
-            descriptor, verdict, verdict == expect, embedding, strategy,
-            elapsed, seed, __version__,
-        ))
-    return reports
-
-
-# A pool worker receives the pools once, through its initializer, and then
-# index ranges only.  It returns packed records: the range's distinct
-# outcomes, each a (verdict, strategy, embedding images in tree-vertex order)
-# triple, and per task an index into them and the elapsed time.
-
-_worker_pools: tuple = ()
+_tree_store: dict[tuple[int, int], DirectedTree] = {}
+_pools: tuple = ()
 
 
 class _InvalidEmbedding(Exception):
-    """A worker's re-check failed on the task whose index is ``args[0]``."""
+    """The re-check failed on the task whose index is ``args[0]``."""
 
 
-def _init_worker(*pools) -> None:
-    global _worker_pools
-    _worker_pools = pools
+def _bind(*pools) -> None:
+    global _pools
+    _pools = pools
 
 
 def _run_range(lo: int, hi: int) -> tuple[list[tuple], array, array]:
-    trees, hosts, exhaustive, tree_of, host_of = _worker_pools
+    embed, trees, hosts, tree_of, host_of = _pools
     outcomes: dict[tuple, int] = {}
     codes, elapsed = array("I"), array("d")
     for k in range(lo, hi):
         T, G = trees[tree_of[k]], hosts[host_of[k]]
         start = time.perf_counter()
-        outcome = exhaustive_embed(T, G) if exhaustive[k] else portfolio_embed(T, G)
+        outcome = embed(T, G)
         elapsed.append(time.perf_counter() - start)
         images = outcome.embedding
         if images is not None:
@@ -202,58 +159,63 @@ def _run_range(lo: int, hi: int) -> tuple[list[tuple], array, array]:
     return list(outcomes), codes, elapsed
 
 
-def _run_pooled(trees, hosts, tasks, workers: int) -> list[InstanceReport]:
+def _slices(pools: tuple, total: int, workers: int):
+    """Yield ``(lo, hi, packed records)`` for each slice, in task order."""
+    if workers == 1 or total < 2:
+        # The pools are process state, as in a worker: one campaign at a
+        # time per process.
+        _bind(*pools)
+        try:
+            records = _run_range(0, total)
+        finally:
+            _bind()
+        yield 0, total, records
+        return
     # Imported here so that serial campaigns and pool workers do not load
     # the process-pool stack.
     from concurrent.futures import ProcessPoolExecutor
 
-    pools = (
-        trees,
-        hosts,
-        bytes([task[0] == "exhaustive" for task in tasks]),
-        array("I", [task[3] for task in tasks]),
-        array("I", [task[4] for task in tasks]),
-    )
-    size = -(-len(tasks) // (workers * _SLICES_PER_WORKER))
-    bounds = [(lo, min(lo + size, len(tasks))) for lo in range(0, len(tasks), size)]
-    reports = []
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=pools) as pool:
+    size = -(-total // (workers * _SLICES_PER_WORKER))
+    bounds = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    with ProcessPoolExecutor(workers, initializer=_bind, initargs=pools) as pool:
         futures = [pool.submit(_run_range, lo, hi) for lo, hi in bounds]
         for (lo, hi), future in zip(bounds, futures):
-            try:
-                outcomes, codes, elapsed = future.result()
-            except _InvalidEmbedding as exc:
-                raise _defect(tasks[exc.args[0]][1]) from None
-            # Equal outcomes share one embedding tuple.
-            outcomes = [
-                (verdict, strategy, None if images is None else tuple(enumerate(images)))
-                for verdict, strategy, images in outcomes
-            ]
-            for (_, descriptor, expect, _, _, seed), code, dt in zip(
-                tasks[lo:hi], codes, elapsed
-            ):
-                verdict, strategy, embedding = outcomes[code]
-                reports.append(InstanceReport(
-                    descriptor, verdict, verdict == expect, embedding, strategy,
-                    dt, seed, __version__,
-                ))
-    return reports
+            yield lo, hi, future.result()
 
 
 def _run(
-    trees: list[DirectedTree],
-    hosts: list[Tournament],
-    tasks: list[tuple],
-    workers: int,
-    config: dict[str, str] | None,
+    embed, expect: str, trees: list[DirectedTree], hosts: list[Tournament],
+    tasks: list[tuple], workers: int, config: dict[str, str],
 ) -> tuple[list[InstanceReport], CampaignSummary]:
+    """Run every task, serially or over a process pool, and summarize.
+
+    Reports come back in task order whatever the worker count, so two runs
+    with the same tasks differ only in the timing fields.
+    """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     start = time.perf_counter()
-    if workers > 1 and len(tasks) > 1:
-        reports = _run_pooled(trees, hosts, tasks, workers)
-    else:
-        reports = _run_serial(trees, hosts, tasks)
+    tree_of = array("I", [task[1] for task in tasks])
+    host_of = array("I", [task[2] for task in tasks])
+    pools = (embed, trees, hosts, tree_of, host_of)
+    reports = []
+    try:
+        for lo, hi, (outcomes, codes, elapsed) in _slices(pools, len(tasks), workers):
+            # Equal outcomes share one embedding tuple.
+            outcomes = [
+                (verdict, verdict == expect, strategy,
+                 None if images is None else tuple(enumerate(images)))
+                for verdict, strategy, images in outcomes
+            ]
+            for (descriptor, _, _, seed), code, dt in zip(tasks[lo:hi], codes, elapsed):
+                verdict, ok, strategy, embedding = outcomes[code]
+                reports.append(InstanceReport(
+                    descriptor, verdict, ok, embedding, strategy, dt, seed, __version__,
+                ))
+    except _InvalidEmbedding as exc:
+        raise GraphDefectError(
+            f"campaign task {tasks[exc.args[0]][0]} produced an invalid embedding"
+        ) from None
     counts: dict[str, int] = {}
     failures = []
     for r in reports:
@@ -265,41 +227,9 @@ def _run(
         verdict_counts=tuple(sorted(counts.items())),
         failures=tuple(failures),
         elapsed=time.perf_counter() - start,
-        config=tuple(sorted((config or {}).items())),
+        config=tuple(sorted(config.items())),
     )
     return reports, summary
-
-
-def run_campaign(
-    tasks: list[tuple],
-    *,
-    workers: int = 1,
-    config: dict[str, str] | None = None,
-) -> tuple[list[InstanceReport], CampaignSummary]:
-    """Run tasks (serially or via a process pool) and summarize.
-
-    A task is a tuple (kind, descriptor, expectation, tree text,
-    tournament text, seed), where kind is ``"portfolio"`` or
-    ``"exhaustive"``; an unknown kind is a ValueError.  Each distinct
-    text is parsed once.  Reports come back in task order whatever the
-    worker count, so two runs with the same tasks differ only in the
-    timing fields.  A worker count below 1 is a ValueError.
-    """
-    # Imported here: the stock campaigns read no text.
-    from .formats import parse_tournament, parse_tree
-
-    tree_index: dict[str, int] = {}
-    host_index: dict[str, int] = {}
-    indexed = []
-    for kind, descriptor, expect, tree_text, host_text, seed in tasks:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown task kind {kind!r}")
-        t = tree_index.setdefault(tree_text, len(tree_index))
-        g = host_index.setdefault(host_text, len(host_index))
-        indexed.append((kind, descriptor, expect, t, g, seed))
-    trees = _stored_trees(tree_index, parse_tree)
-    hosts = [parse_tournament(text) for text in host_index]
-    return _run(trees, hosts, indexed, workers, config)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +247,18 @@ def _check_sample_count(count: int) -> None:
 
 def _tree_pool(n: int, tree_source) -> list[tuple[str, DirectedTree]]:
     """(descriptor fragment, tree) pairs for the given source."""
+    global _tree_store
     if tree_source == "iso":
         return [(f"tree=iso{i}", T) for i, T in enumerate(enumerate_oriented_trees(n))]
     if isinstance(tree_source, tuple) and tree_source[0] == "sample":
         _, count, seed = tree_source
         _check_sample_count(count)
-        seeds = range(seed, seed + count)
-        trees = _stored_trees([(n, s) for s in seeds], lambda key: random_oriented_tree(*key))
-        return [(f"tree=seed{s}", T) for s, T in zip(seeds, trees)]
+        known = _tree_store
+        _tree_store = {
+            (n, s): known[n, s] if (n, s) in known else random_oriented_tree(n, s)
+            for s in range(seed, seed + count)
+        }
+        return [(f"tree=seed{s}", T) for (_, s), T in _tree_store.items()]
     raise ValueError(f"unknown tree source {tree_source!r}")
 
 
@@ -386,7 +320,7 @@ def verify_sumner(
     trees = _tree_pool(n, tree_source)
     hosts, source_label = _tournament_pool(m, tournament_source)
     tasks = [
-        ("portfolio", f"sumner:n={n}:{t_frag}:{g_frag}", FOUND, t, g, seed)
+        (f"sumner:n={n}:{t_frag}:{g_frag}", t, g, seed)
         for t, (t_frag, _) in enumerate(trees)
         for g, (g_frag, _, seed) in enumerate(hosts)
     ]
@@ -399,7 +333,10 @@ def verify_sumner(
         "tournaments": str(len(hosts)),
         "version": __version__,
     }
-    return _run([T for _, T in trees], [G for _, G, _ in hosts], tasks, workers, config)
+    return _run(
+        portfolio_embed, FOUND, [T for _, T in trees], [G for _, G, _ in hosts],
+        tasks, workers, config,
+    )
 
 
 def verify_sharpness(
@@ -418,6 +355,7 @@ def verify_sharpness(
     that builds no task is a ValueError, since a campaign that certifies
     nothing would pass.
     """
+    n_range, near_extremal_pairs = tuple(n_range), tuple(near_extremal_pairs)
     pairs = []
     for n in n_range:
         if n < 2:
@@ -446,17 +384,17 @@ def verify_sharpness(
             "no sharpness case to certify: the n range and the near-extremal "
             "pairs are both empty"
         )
-    tasks = [
-        ("exhaustive", descriptor, NOT_FOUND, i, i, None)
-        for i, (descriptor, _, _) in enumerate(pairs)
-    ]
+    tasks = [(descriptor, i, i, None) for i, (descriptor, _, _) in enumerate(pairs)]
     config = {
         "campaign": "verify-sharpness",
         "n_range": ",".join(str(n) for n in n_range),
         "near_extremal": ";".join(f"{n},{l}" for n, l in near_extremal_pairs),
         "version": __version__,
     }
-    return _run([T for _, T, _ in pairs], [G for _, _, G in pairs], tasks, workers, config)
+    return _run(
+        exhaustive_embed, NOT_FOUND, [T for _, T, _ in pairs], [G for _, _, G in pairs],
+        tasks, workers, config,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,8 @@ from treetour import (
     CampaignSummary,
     DirectedTree,
     GraphDefectError,
-    ParseError,
     PropertyConfig,
-    Tournament,
     available_suites,
-    run_campaign,
     run_property_suites,
     shrink_tournament,
     shrink_tree,
@@ -41,6 +38,7 @@ from treetour.cli import main
 from treetour.formats import write_tournament, write_tree
 from treetour.generate import (
     directed_path,
+    enumerate_tournaments,
     inward_star,
     random_oriented_tree,
     random_tournament,
@@ -55,54 +53,56 @@ from treetour.reports import (
 from treetour.search import EmbedOutcome
 
 
-def sample_tasks():
-    path3 = write_tree(directed_path(3))
-    star3 = write_tree(inward_star(3))
-    host4 = write_tournament(transitive_tournament(4))
-    cycle = write_tournament(
-        Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    )
-    return [
-        ("portfolio", "path3-into-t4", "found", path3, host4, None),
-        ("exhaustive", "star3-into-cycle", "not_found", star3, cycle, None),
-        ("portfolio", "star3-into-t4", "found", star3, host4, 7),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Campaigns
 
 
 def test_campaign_reports_preserve_task_order_and_expectations():
-    reports, summary = run_campaign(sample_tasks(), config={"k": "v"})
+    reports, summary = verify_sumner(3, ("sample", 2, 7))
     assert [r.instance for r in reports] == [
-        "path3-into-t4",
-        "star3-into-cycle",
-        "star3-into-t4",
+        f"sumner:n=3:tree=iso{t}:tournament=seed{s}" for t in range(3) for s in (7, 8)
     ]
-    assert all(r.ok for r in reports)
-    assert summary.total == 3
-    assert dict(summary.verdict_counts) == {"found": 2, "not_found": 1}
+    assert [r.seed for r in reports] == [7, 8] * 3
+    assert all(r.ok and r.verdict == "found" for r in reports)
+    assert summary.total == 6 and dict(summary.verdict_counts) == {"found": 6}
     assert summary.all_ok and summary.exit_code == 0
-    assert dict(summary.config) == {"k": "v"}
-    assert reports[2].seed == 7
+    assert dict(summary.config)["tournament_source"] == "sample(2,7)"
+    reports, summary = verify_sharpness((4, 3), ((6, 2),))
+    assert [r.instance for r in reports] == [
+        "sharpness:instar:n=4",
+        "sharpness:instar:n=3",
+        "sharpness:near-extremal:n=6:l=2",
+    ]
+    assert all(r.ok and r.verdict == "not_found" and r.seed is None for r in reports)
+    assert dict(summary.verdict_counts) == {"not_found": 3} and summary.all_ok
 
 
-def test_campaign_failures_list_mismatched_instances():
-    tasks = sample_tasks()
-    tasks[1] = tasks[1][:2] + ("found",) + tasks[1][3:]  # wrong expectation
-    reports, summary = run_campaign(tasks)
-    assert not reports[1].ok
-    assert summary.failures == ("star3-into-cycle",)
+def _overriding_into(host, outcome, search):
+    """``search``, except that every task into ``host`` comes back ``outcome``."""
+    def patched(T, G, config=None):
+        return outcome(T) if G == host else search(T, G)
+    return patched
+
+
+def _unsure(T):
+    return EmbedOutcome("budget_exhausted", None, 0, "portfolio")
+
+
+def test_campaign_failures_list_mismatched_instances(monkeypatch):
+    monkeypatch.setattr(reports, "portfolio_embed", _overriding_into(
+        random_tournament(4, 8), _unsure, reports.portfolio_embed
+    ))
+    out, summary = verify_sumner(3, ("sample", 2, 7))
+    assert [r.ok for r in out] == [True, False] * 3
+    assert summary.failures == tuple(f"sumner:n=3:tree=iso{t}:tournament=seed8" for t in range(3))
+    assert dict(summary.verdict_counts) == {"budget_exhausted": 3, "found": 3}
     assert summary.exit_code == 1
-
-
-def test_campaign_output_is_worker_count_invariant():
-    serial_reports, _ = run_campaign(sample_tasks(), workers=1)
-    pooled_reports, _ = run_campaign(sample_tasks(), workers=2)
-    assert reports_to_jsonl(serial_reports, include_timing=False) == reports_to_jsonl(
-        pooled_reports, include_timing=False
-    )
+    monkeypatch.setattr(reports, "exhaustive_embed", _overriding_into(
+        rotational_regular_tournament(5), _unsure, reports.exhaustive_embed
+    ))
+    out, summary = verify_sharpness((3, 4, 5), ())
+    assert [r.ok for r in out] == [True, False, True]
+    assert summary.failures == ("sharpness:instar:n=4",) and summary.exit_code == 1
 
 
 def test_multi_tree_campaign_is_worker_count_invariant():
@@ -168,38 +168,13 @@ def test_campaign_parses_each_text_once_and_plans_each_tree_once(monkeypatch):
     assert summary_to_json(first_summary, include_timing=False) == summary_to_json(
         second_summary, include_timing=False
     )
-    # Text tasks: each distinct tree text is parsed once per process, each
-    # distinct host text once per call.
-    calls["plan"].clear()
-    tasks = [
-        ("portfolio", f"{i}", "found", write_tree(T), write_tournament(G), None)
-        for i, (T, G) in enumerate(
-            (T, random_tournament(8, s))
-            for T in (random_oriented_tree(5, 1), random_oriented_tree(5, 2))
-            for s in (1, 2, 1)
-        )
-    ]
-    for _ in range(2):
-        out, summary = run_campaign(tasks)
-        assert summary.total == 6 and summary.all_ok
-    trees = {task[3] for task in tasks}
-    hosts = {task[4] for task in tasks}
-    assert calls["text"] == Counter({**{t: 1 for t in trees}, **{g: 2 for g in hosts}})
-    assert set(calls["plan"].values()) <= {1}
 
 
-def test_malformed_tree_text_raises_on_every_call():
-    host = write_tournament(transitive_tournament(4))
-    good = ("portfolio", "path3", "found", write_tree(directed_path(3)), host, None)
-    bad = ("portfolio", "bad", "found", "tree 3\n0 1\n1 0\n", host, None)
-    for tasks in ([bad], [bad], [good, bad], [good, bad], [bad]):
-        with pytest.raises(ParseError, match="line 3: duplicate edge between 1 and 0"):
-            run_campaign(tasks)
-    assert bad[3] not in reports._tree_store
-    out, summary = run_campaign([good])
-    assert summary.all_ok and out[0].verdict == "found"
-    # The store holds the trees of the last campaign and no others.
-    assert list(reports._tree_store) == [good[3]]
+def test_tree_store_holds_the_last_campaigns_trees_only():
+    verify_sumner(4, ("sample", 1, 0), ("sample", 2, 10))
+    assert list(reports._tree_store) == [(4, 10), (4, 11)]
+    verify_sumner(4, ("sample", 1, 0), ("sample", 2, 20))
+    assert list(reports._tree_store) == [(4, 20), (4, 21)]
 
 
 def _invalid_search(T, G, config=None):
@@ -207,39 +182,71 @@ def _invalid_search(T, G, config=None):
 
 
 def test_campaign_rechecks_every_embedding(monkeypatch):
+    for embed, campaign, first in [
+        ("portfolio_embed", lambda: verify_sumner(3), "sumner:n=3:tree=iso0:tournament=lab0"),
+        ("exhaustive_embed", lambda: verify_sharpness((3,), ()), "sharpness:instar:n=3"),
+    ]:
+        monkeypatch.setattr(reports, embed, _invalid_search)
+        with pytest.raises(
+            GraphDefectError, match=f"campaign task {first} produced an invalid embedding"
+        ):
+            campaign()
+
+
+def test_serial_campaigns_leave_no_pool_bound(monkeypatch):
+    verify_sumner(3)
+    assert reports._pools == ()
     monkeypatch.setattr(reports, "portfolio_embed", _invalid_search)
-    with pytest.raises(
-        GraphDefectError, match="campaign task path3-into-t4 produced an invalid embedding"
-    ):
-        run_campaign(sample_tasks()[:1])
+    with pytest.raises(GraphDefectError):
+        verify_sumner(3)
+    assert reports._pools == ()
 
 
 def test_pooled_recheck_names_the_task(monkeypatch):
     # Forked workers inherit the patched search; spawned ones would not.
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers do not inherit the patched search")
-    monkeypatch.setattr(reports, "portfolio_embed", _invalid_search)
+    # 192 tasks in slices of 6: the first task into labelled host 40 is
+    # task 40, in the seventh slice.
+    host = list(enumerate_tournaments(4))[40]
+    monkeypatch.setattr(reports, "portfolio_embed", _overriding_into(
+        host, lambda T: _invalid_search(T, host), reports.portfolio_embed
+    ))
     with pytest.raises(
-        GraphDefectError, match="campaign task path3-into-t4 produced an invalid embedding"
+        GraphDefectError,
+        match="campaign task sumner:n=3:tree=iso0:tournament=lab40 produced an invalid embedding",
     ):
-        run_campaign(sample_tasks(), workers=2)
+        verify_sumner(3, workers=2)
 
 
 @pytest.mark.parametrize(
     "campaign",
     [
+        lambda workers: verify_sumner(2, workers=workers),
         lambda workers: verify_sumner(3, workers=workers),
         lambda workers: verify_sumner(
             6, ("sample", 3, 5), ("sample", 3, 9), workers=workers
         ),
         lambda workers: verify_sharpness(range(3, 7), workers=workers),
     ],
-    ids=["exhaustive-hosts", "sampled-hosts-and-trees", "sharpness"],
+    ids=["two-tasks", "exhaustive-hosts", "sampled-hosts-and-trees", "sharpness"],
 )
 def test_campaign_sources_are_worker_count_invariant(campaign):
     serial, serial_summary = campaign(1)
     pooled, pooled_summary = campaign(2)
     assert serial_summary.total > 1 and serial_summary.all_ok
+    assert reports_to_jsonl(serial, include_timing=False) == reports_to_jsonl(
+        pooled, include_timing=False
+    )
+    assert summary_to_json(serial_summary, include_timing=False) == summary_to_json(
+        pooled_summary, include_timing=False
+    )
+
+
+def test_one_task_campaign_is_worker_count_invariant():
+    serial, serial_summary = verify_sharpness((3,), ())
+    pooled, pooled_summary = verify_sharpness((3,), (), workers=2)
+    assert serial_summary.total == 1 and serial_summary.all_ok
     assert reports_to_jsonl(serial, include_timing=False) == reports_to_jsonl(
         pooled, include_timing=False
     )
@@ -272,11 +279,6 @@ def test_pool_slices_carry_index_ranges_and_packed_records(monkeypatch):
         record = pickle.dumps(future.result())
         assert b"InstanceReport" not in record
         assert b"sumner:" not in record and b"tournament" not in record
-
-
-def test_unknown_task_kind_is_an_error():
-    with pytest.raises(ValueError):
-        run_campaign([("teleport", "x", "found", "tree 1", "tournament 1", None)])
 
 
 def test_summary_rejects_inconsistent_counts():
@@ -321,6 +323,13 @@ def test_sharpness_campaign_respects_host_cap():
         verify_sharpness((), ((11, 3),))
 
 
+def test_sharpness_campaign_records_one_shot_iterables():
+    _, summary = verify_sharpness((n for n in (3, 4)), iter([(6, 2)]))
+    assert summary.total == 3
+    assert summary.config == verify_sharpness(range(3, 5), [(6, 2)])[1].config
+    assert dict(summary.config)["n_range"] == "3,4"
+
+
 @pytest.mark.parametrize("n_range", [(), range(5, 3)])
 def test_sharpness_campaign_needs_at_least_one_case(n_range):
     """A certificate campaign over no case would certify nothing and pass."""
@@ -347,9 +356,9 @@ def test_sampled_campaigns_need_at_least_one_sample(count):
 @pytest.mark.parametrize("workers", [0, -1])
 def test_campaigns_need_at_least_one_worker(workers):
     with pytest.raises(ValueError, match="worker count"):
-        run_campaign(sample_tasks(), workers=workers)
-    with pytest.raises(ValueError, match="worker count"):
         verify_sumner(3, workers=workers)
+    with pytest.raises(ValueError, match="worker count"):
+        verify_sharpness((3,), (), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +366,7 @@ def test_campaigns_need_at_least_one_worker(workers):
 
 
 def test_jsonl_round_trips_and_respects_timing_flag():
-    reports, _ = run_campaign(sample_tasks())
+    reports = verify_sumner(3, ("sample", 2, 7))[0] + verify_sharpness((3,), ())[0]
     with_timing = reports_to_jsonl(reports)
     without = reports_to_jsonl(reports, include_timing=False)
     lines = [json.loads(line) for line in with_timing.splitlines()]
@@ -366,12 +375,15 @@ def test_jsonl_round_trips_and_respects_timing_flag():
     assert [d["instance"] for d in lines] == [r.instance for r in reports]
     found = json.loads(without.splitlines()[0])
     assert found["verdict"] == "found" and found["embedding"]
+    missing = json.loads(without.splitlines()[-1])
+    assert missing["verdict"] == "not_found" and missing["embedding"] is None
 
 
 def test_summary_json_is_loadable():
-    _, summary = run_campaign(sample_tasks(), config={"a": "1"})
+    _, summary = verify_sumner(3)
     doc = json.loads(summary_to_json(summary))
-    assert doc["total"] == 3 and doc["all_ok"] is True
+    assert doc["total"] == 192 and doc["all_ok"] is True
+    assert doc["config"] == dict(summary.config) and doc["config"]["trees"] == "3"
     assert json.loads(summary_to_json(summary, include_timing=False)).get("elapsed") is None
 
 
@@ -746,12 +758,19 @@ def test_cli_reads_no_setting_from_the_environment(capsys, monkeypatch):
 # Package surface
 
 _ROOT = Path(__file__).resolve().parents[1]
-_PACKAGE_FILES = sorted((_ROOT / "src" / "treetour").glob("*.py"))
+_PACKAGE = _ROOT / "src" / "treetour"
+_PACKAGE_FILES = sorted(_PACKAGE.glob("*.py"))
 
 
-def _declared_all(tree: ast.Module) -> list[str] | None:
-    """The names in a module-level ``__all__ = [...]``, or None if absent."""
-    for node in tree.body:
+def _declared_all(path: Path) -> list[str] | None:
+    """The names in a file's module-level ``__all__``, or None if absent.
+
+    The package builds its ``__all__`` from its export table, so that one
+    is taken from the imported package; every other is a literal list.
+    """
+    if path == _PACKAGE / "__init__.py":
+        return list(treetour.__all__)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
@@ -759,12 +778,13 @@ def _declared_all(tree: ast.Module) -> list[str] | None:
     return None
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """Module-level imported names that nothing in the module uses.
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imported names that nothing in the file uses.
 
     A name counts as used when it is read anywhere in the module or is
     listed in the module's ``__all__``.
     """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = []
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -772,14 +792,14 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names if a.name != "*"]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(_declared_all(tree) or ())
+    used.update(_declared_all(path) or ())
     return [name for name in imported if name not in used]
 
 
 def test_every_declared_export_resolves():
     checked = []
     for path in _PACKAGE_FILES:
-        names = _declared_all(ast.parse(path.read_text(encoding="utf-8")))
+        names = _declared_all(path)
         if names is None:
             continue
         module = (
@@ -798,7 +818,7 @@ def test_no_module_level_import_goes_unused():
     unused = {
         path.relative_to(_ROOT).as_posix(): names
         for path in files
-        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        if (names := _unused_imports(path))
     }
     assert unused == {}
 
