@@ -346,13 +346,15 @@ class DirectedTree:
     by construction, skip that check (and its BFS) through the private
     ``_trusted`` flag, as they do for :class:`Tournament`.  ``plan`` holds the tree's
     search plan once :func:`treetour.search.greedy_embed` or
-    ``exhaustive_embed`` has built it, and ``path_order`` its
-    source-to-sink order (``()`` when it is not a directed path) once
-    :func:`treetour.strategies.directed_path_order` has computed it.
-    Neither takes part in equality or hashing.
+    ``exhaustive_embed`` has built it, ``path_order`` its source-to-sink
+    order (``()`` when it is not a directed path) once
+    :func:`treetour.strategies.directed_path_order` has computed it, and
+    ``vertex_set`` the frozenset of its vertices once
+    :func:`is_valid_embedding` has checked a map against it.  None of them
+    takes part in equality or hashing, and each goes with its tree.
     """
 
-    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs", "plan", "path_order")
+    __slots__ = ("n", "arcs", "out_nbrs", "in_nbrs", "nbrs", "plan", "path_order", "vertex_set")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], *, _trusted: bool = False):
         if _trusted:
@@ -386,6 +388,7 @@ class DirectedTree:
         self.nbrs = tuple(tuple(sorted(o + i)) for o, i in zip(out_nbrs, in_nbrs))
         self.plan = None
         self.path_order = None
+        self.vertex_set = None
         if not _trusted:
             # Connectivity: n-1 distinct edges + connected <=> tree.
             reached = self.rooted(0).order
@@ -503,13 +506,17 @@ def directed_edge_count(G: Tournament, source: int, target: int) -> int:
 def is_valid_embedding(T: DirectedTree, G: Tournament, mapping: Mapping[int, int]) -> bool:
     """True iff ``mapping`` is an injective arc-direction-preserving total map.
 
-    The map must assign an image to every tree vertex; a partial map is an
-    input error (:class:`PartialMapError`), not a False verdict.  Images out
-    of range are also input errors, checked before injectivity.
+    The map must assign an image to every tree vertex and to nothing else;
+    any other key set is an input error (:class:`PartialMapError`), not a
+    False verdict, checked against the tree's cached ``vertex_set``.
+    Images out of range are also input errors, checked before injectivity.
     Non-injectivity or a wrongly directed arc gives False.  Each tree arc
     u -> v is one row lookup: bit ``mapping[v]`` of ``G.out_rows[mapping[u]]``.
     """
-    if mapping.keys() != set(range(T.n)):
+    vertices = T.vertex_set
+    if vertices is None:
+        vertices = T.vertex_set = frozenset(range(T.n))
+    if mapping.keys() != vertices:
         raise PartialMapError(
             f"map must be total on the {T.n} tree vertices, got keys {sorted(mapping.keys())}"
         )

@@ -7,18 +7,18 @@ once per process, since later campaigns over the same trees reuse them.
 There is one runner: a loop over a contiguous index range that returns
 packed records (distinct outcomes and, per task, an index into them and
 the elapsed time), which the parent expands into
-:class:`InstanceReport` objects in task order.  A serial campaign runs it
-once over every task in process; a pooled one hands each worker the pools
-once and then index ranges only, and expands the slices as they arrive.
-So output is identical at any worker count by construction; reports
-serialize to JSON lines, and all but wall-clock timing is a function of
-configuration and seeds.  On a shared 2-CPU x86 host,
-``verify_sumner(4)`` (262,144 tasks) takes 4.4-4.6 s serially and 2.9-3.1 s
+:class:`InstanceReport` named tuples in task order.  A serial campaign
+runs it once over every task in process; a pooled one hands each worker
+the pools once and then index ranges only, and expands the slices as they
+arrive.  So output is identical at any worker count by construction;
+reports serialize to JSON lines, and all but wall-clock timing is a
+function of configuration and seeds.  On a shared 2-CPU x86 host,
+``verify_sumner(4)`` (262,144 tasks) takes 4.0-4.1 s serially and 2.6-2.8 s
 with two workers, and a repeated ``verify_sumner(5, "iso", "iso")``
-(185,760 tasks) 3.3 s and 2.2 s (medians of series of five alternating
-runs); with hosts sent through text and reports pickled back, two
-workers took 7.7 s and 4.9 s against 7.1 s and 3.8 s serially
-(``BENCH_20.json``).
+(185,760 tasks) 2.5 s and 1.8 s (medians of series of five alternating
+runs, ``BENCH_21.json``); with hosts sent through text and reports
+pickled back, two workers took 7.7 s and 4.9 s against 7.1 s and 3.8 s
+serially (``BENCH_20.json``).
 
 There are two ways in, one per campaign:
 
@@ -37,6 +37,7 @@ import json
 import time
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .generate import (
@@ -62,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class InstanceReport:
+class InstanceReport(NamedTuple):
     """One task's outcome inside a campaign.
 
     ``instance`` is a reproducible descriptor (generator name and

@@ -32,10 +32,10 @@ down the subtree sizes from vertex 0), candidate images ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, and_, indexOf, lshift, rshift, sub
+from typing import NamedTuple
 
 from .graphs import (
     DirectedTree,
@@ -53,8 +53,7 @@ NOT_FOUND = "not_found"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
-class EmbedOutcome:
+class EmbedOutcome(NamedTuple):
     """Result of an embedding attempt.
 
     ``verdict`` is one of ``"found"``, ``"not_found"``,
@@ -152,7 +151,7 @@ def exhaustive_embed(
                 continue
             images[level] = g
             if level + 1 == n_t:
-                mapping = {order[i]: images[i] for i in range(n_t)}
+                mapping = dict(zip(order, images))
                 if not is_valid_embedding(T, G, mapping):  # pragma: no cover
                     raise GraphDefectError("search produced an invalid embedding")
                 return EmbedOutcome(FOUND, mapping, nodes, "exhaustive")
@@ -305,7 +304,7 @@ def greedy_embed(T: DirectedTree, G: Tournament) -> EmbedOutcome:
         rest -= 1
         if planes is not None:
             _take_one(planes, in_rows[best_g])
-    mapping = {order[i]: images[i] for i in range(T.n)}
+    mapping = dict(zip(order, images))
     if not is_valid_embedding(T, G, mapping):  # pragma: no cover
         raise GraphDefectError("greedy produced an invalid embedding")
     return EmbedOutcome(FOUND, mapping, nodes, "greedy")

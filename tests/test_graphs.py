@@ -345,6 +345,24 @@ def test_valid_embedding_requires_total_map_on_tree_vertices():
         is_valid_embedding(P2, CYCLE3, {0: 0, 1: 5})
 
 
+def test_valid_embedding_input_errors_come_before_verdicts():
+    P2 = DirectedTree(2, [(0, 1)])
+    assert P2.vertex_set is None
+    assert is_valid_embedding(P2, CYCLE3, {0: 0, 1: 1})
+    # The key set is kept on the tree, which compares as before.
+    assert P2.vertex_set == {0, 1} and P2 == DirectedTree(2, [(0, 1)])
+    # A key beyond the tree is as much an input error as a missing one.
+    with pytest.raises(PartialMapError):
+        is_valid_embedding(P2, CYCLE3, {0: 0, 1: 1, 2: 2})
+    # A negative image would index the host rows from the end.
+    with pytest.raises(ValueError, match="out of range"):
+        is_valid_embedding(P2, CYCLE3, {0: -1, 1: 0})
+    # The range check precedes the injectivity check: a repeated image that
+    # is out of range is an error, not a False verdict.
+    with pytest.raises(ValueError, match="out of range"):
+        is_valid_embedding(P2, CYCLE3, {0: 5, 1: 5})
+
+
 def test_valid_embedding_spanning_path_in_transitive():
     P = directed_path(4)
     G = transitive_tournament(4)

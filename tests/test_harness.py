@@ -8,6 +8,7 @@ a nonzero exit code.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import multiprocessing
@@ -47,6 +48,7 @@ from treetour.generate import (
 )
 from treetour.reports import (
     SHARPNESS_HOST_CAP,
+    InstanceReport,
     reports_to_jsonl,
     summary_to_json,
 )
@@ -385,6 +387,54 @@ def test_summary_json_is_loadable():
     assert doc["total"] == 192 and doc["all_ok"] is True
     assert doc["config"] == dict(summary.config) and doc["config"]["trees"] == "3"
     assert json.loads(summary_to_json(summary, include_timing=False)).get("elapsed") is None
+
+
+# sha256 of the timing-free JSON lines followed by the timing-free summary,
+# taken when both record types were still dataclasses.  A change to any
+# verdict, strategy, embedding, descriptor, seed, config entry or to the
+# package version moves them.
+_PINNED_CAMPAIGNS = [
+    (
+        verify_sumner, (3,),
+        "833766ef9d7e99d19c98e2d3a5e451fa7b4d50bba22401086627eaa78d5e2329",
+    ),
+    (
+        verify_sumner, (5, ("sample", 20, 7), "iso"),
+        "8a204e119a27cdddc9c819245fc6fc45dd91b573a5b9147201b8e201c75a55ab",
+    ),
+    (
+        verify_sharpness, (range(3, 6),),
+        "920f77e0f472bb69fc3ad1866056c6e2d393376e80e228a73951273560e380d4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "campaign, args, digest", _PINNED_CAMPAIGNS, ids=["sumner3", "sumner5-sample", "sharpness3-5"]
+)
+def test_campaign_output_bytes_are_pinned(campaign, args, digest):
+    out, summary = campaign(*args)
+    text = reports_to_jsonl(out, include_timing=False) + summary_to_json(
+        summary, include_timing=False
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_instance_report_is_an_immutable_picklable_record():
+    report = InstanceReport(
+        instance="sumner:n=2:tree=iso0:tournament=lab0", verdict="found", ok=True,
+        embedding=((0, 0), (1, 1)), strategy="portfolio/greedy", elapsed=0.5,
+        seed=None, version=treetour.__version__,
+    )
+    assert report.embedding == ((0, 0), (1, 1)) and report.seed is None
+    with pytest.raises(AttributeError):
+        report.verdict = "not_found"
+    with pytest.raises(AttributeError):
+        report.extra = 1
+    copy = pickle.loads(pickle.dumps(report))
+    assert type(copy) is InstanceReport and copy == report
+    out, _ = verify_sumner(3, ("sample", 2, 7))
+    assert pickle.loads(pickle.dumps(out)) == out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ never claim impossibility.
 """
 
 import itertools
+import pickle
 import random
 import time
 from pathlib import Path
@@ -778,3 +779,20 @@ def test_outcome_found_property():
     assert found.found
     missing = EmbedOutcome(verdict="not_found", embedding=None, nodes=1, strategy="x")
     assert not missing.found
+
+
+def test_outcome_is_an_immutable_picklable_record():
+    outcome = EmbedOutcome(verdict="found", embedding={0: 1, 1: 0}, nodes=2, strategy="x")
+    assert outcome.notes == () and outcome.found
+    with pytest.raises(AttributeError):
+        outcome.verdict = "not_found"
+    with pytest.raises(AttributeError):
+        outcome.extra = 1
+    copy = pickle.loads(pickle.dumps(outcome))
+    assert type(copy) is EmbedOutcome and copy == outcome
+    greedy = greedy_embed(random_oriented_tree(6, 3), random_tournament(10, 3))
+    refuted = exhaustive_embed(inward_star(3), rotational_regular_tournament(3))
+    assert greedy.found and refuted.verdict == "not_found"
+    for outcome in (greedy, refuted):
+        copy = pickle.loads(pickle.dumps(outcome))
+        assert type(copy) is EmbedOutcome and copy == outcome
